@@ -33,7 +33,7 @@ from .reduction import (
     is_p_path_degenerate,
     replay_certificate,
 )
-from .wcol import WcolBoundParams, weak_order, wcol_under_order, wreach_all, wreach_bound_ok
+from .wcol import LinearOrder, WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
 
 
 @dataclass
@@ -168,26 +168,33 @@ def _cmd_color_acyclic(args, report: Report) -> None:
     report.ok = proper and rainbow and coloring.num_colors <= limit
 
 
+def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams) -> tuple[dict, int]:
+    """Check max |WReach_x| against its bound for x = 0..r.  Returns the
+    verification section and max |WReach_r|, which is the weak
+    r-coloring number under the order."""
+    ok = True
+    per_x = {}
+    for x in range(params.r + 1):
+        worst = max((len(s) for s in wreach_all(g, order, x)), default=0)
+        good = wreach_bound_ok(worst, x, params)
+        per_x[str(x)] = {"max_wreach": worst, "ok": good}
+        ok = ok and good
+    return {"bound_per_radius": per_x, "all_within_bound": ok}, worst
+
+
 def _cmd_wcol_order(args, report: Report) -> None:
     g = _load_graph(args.graph, args.subdivide)
     report.input = _summary(g)
     params = WcolBoundParams(r=args.r, q=args.q)
     order = weak_order(g, params)
+    report.verification, wcol = _wreach_check(g, order, params)
     report.result = {
         "r": args.r,
         "q": args.q,
         "order": formats.serialize_order(order).strip(),
-        "wcol_under_order": wcol_under_order(g, order, args.r),
+        "wcol_under_order": wcol,
     }
-    ok = True
-    per_x = {}
-    for x in range(args.r + 1):
-        worst = max((len(s) for s in wreach_all(g, order, x)), default=0)
-        good = wreach_bound_ok(worst, x, params)
-        per_x[str(x)] = {"max_wreach": worst, "ok": good}
-        ok = ok and good
-    report.verification = {"bound_per_radius": per_x, "all_within_bound": ok}
-    report.ok = ok
+    report.ok = report.verification["all_within_bound"]
 
 
 def _cmd_bounds(args, report: Report) -> None:
@@ -259,16 +266,8 @@ def _cmd_verify(args, report: Report) -> None:
             report.verification = {"order_matches_graph": False}
             report.ok = False
             return
-        params = WcolBoundParams(r=args.r, q=args.q)
-        ok = True
-        per_x = {}
-        for x in range(args.r + 1):
-            worst = max((len(s) for s in wreach_all(g, order, x)), default=0)
-            good = wreach_bound_ok(worst, x, params)
-            per_x[str(x)] = {"max_wreach": worst, "ok": good}
-            ok = ok and good
-        report.verification = {"bound_per_radius": per_x, "all_within_bound": ok}
-        report.ok = ok
+        report.verification, _ = _wreach_check(g, order, WcolBoundParams(r=args.r, q=args.q))
+        report.ok = report.verification["all_within_bound"]
 
 
 def _cmd_density(args, report: Report) -> None:

@@ -92,9 +92,12 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
     cert = _certificate_or_raise(g, r + 1)
     limit = max(g.max_degree(), r)
     colors: dict[tuple[int, int], int] = {}
+    at: list[set[int]] = [set() for _ in range(g.n)]   # colors on the edges at each vertex
 
-    def colors_at(v: int) -> set[int]:
-        return {c for e, c in colors.items() if v in e}
+    def assign(e: tuple[int, int], c: int) -> None:
+        colors[e] = c
+        at[e[0]].add(c)
+        at[e[1]].add(c)
 
     for step, built in _backward_steps(g, cert):
         if step.kind == ISOLATED:
@@ -103,28 +106,28 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
             (v,) = step.vertices
             attached = [u for u in g.adj[v] if u in built]
             assert len(attached) == 1
-            colors[normalize_edge(v, attached[0])] = _smallest_missing(colors_at(attached[0]), limit)
+            assign(normalize_edge(v, attached[0]), _smallest_missing(at[attached[0]], limit))
             continue
         seq = step.vertices
         k = len(seq) - 1                      # ear length, >= r+1
         edges = [normalize_edge(a, b) for a, b in zip(seq, seq[1:])]
-        alpha = _smallest_missing(colors_at(seq[0]), limit)
-        colors[edges[0]] = alpha
-        beta = _smallest_missing(colors_at(seq[-1]), limit)
-        colors[edges[-1]] = beta
+        alpha = _smallest_missing(at[seq[0]], limit)
+        assign(edges[0], alpha)
+        beta = _smallest_missing(at[seq[-1]], limit)
+        assign(edges[-1], beta)
         if alpha != beta:
             middle = [c for c in range(1, limit + 1) if c not in (alpha, beta)][: r - 2]
             for i, c in enumerate(middle, start=1):
-                colors[edges[i]] = c
+                assign(edges[i], c)
             for i in range(r - 1, k - 1):
                 banned = {colors[edges[i - 1]]}
                 if i == k - 2:
                     banned.add(beta)
-                colors[edges[i]] = _smallest_missing(banned, limit)
+                assign(edges[i], _smallest_missing(banned, limit))
         else:
             palette = [c for c in range(1, limit + 1) if c != alpha][:r]
             for i in range(1, k - 1):
-                colors[edges[i]] = palette[(i - 1) % len(palette)]
+                assign(edges[i], palette[(i - 1) % len(palette)])
     assert len(colors) == g.m
     coloring = EdgeColoring(colors=colors)
     assert coloring.num_colors <= limit

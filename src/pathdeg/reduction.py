@@ -7,6 +7,34 @@ subgraph of a degenerate graph is degenerate, greedy maximal reduction
 decides the property, and the order-insensitive backtracking oracle here
 exists to keep that assumption honest.
 
+The greedy engine takes the smallest applicable step every time: an
+isolated vertex before a leaf, each the smallest such vertex, and an ear
+only when neither exists, the one with the smallest key (endpoint pair,
+then interior read from the smaller endpoint).  It finds that step by
+peeling, as in Batagelj and Zaversnik's O(m) k-core algorithm (2003):
+
+- isolated and degree-1 vertices wait in two min-heaps;
+- each maximal chain of degree-2 vertices (an open chain between branch
+  vertices, a loop at one branch vertex, or a cycle component) sits in a
+  third min-heap under the key of its best ear, found in one pass over
+  the chain;
+- a deletion pushes each neighbour that falls to degree 0 or 1 onto its
+  heap and marks each that falls to degree 2; before an ear is chosen,
+  the chains through the marked vertices are rebuilt and pushed;
+- entries are checked when popped: a vertex must still have the degree
+  of its heap, and a chain entry is taken only if re-walking the chain
+  gives the key it was pushed with (otherwise it goes back under its
+  current key).
+
+Cost: O(n + m) to start, then per step O(log n) plus the length of the
+chains it rebuilds or re-walks.  An ear consumes its whole chain (what is
+left of it unravels leaf by leaf), but a chain is walked again whenever
+it merges with another at a vertex that fell to degree 2, so a long
+chain that grows one merge at a time makes the total quadratic in the
+worst case.  The choice rule and the certificate format are unchanged
+from the engine that rescanned the whole graph for every step; the tests
+keep that scan as a reference and compare certificates step by step.
+
 Certificates are replayable: each step records the vertices it deletes,
 and an independent checker validates applicability step by step.
 """
@@ -14,6 +42,7 @@ and an independent checker validates applicability step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .graph import Graph, induced_subgraph, from_edges
 
@@ -78,73 +107,147 @@ def _delete_vertices(adj: dict[int, set[int]], vs) -> None:
         del adj[v]
 
 
-def _ear_key(path: list[int]) -> tuple[int, ...]:
-    if path[0] > path[-1]:
-        path = list(reversed(path))
-    return (path[0], path[-1], *path[1:-1])
+def _window_key(s: list[int], i: int, j: int) -> tuple[int, ...]:
+    """Ear key of the path s[i..j]: (smaller endpoint, larger endpoint,
+    interior read from the smaller endpoint)."""
+    if s[i] < s[j]:
+        return (s[i], s[j], *s[i + 1:j])
+    return (s[j], s[i], *s[j - 1:i:-1])
 
 
-def _best_ear(adj: dict[int, set[int]], p: int, exact: bool) -> tuple[int, ...] | None:
-    """Deterministically smallest applicable ear: walk out of every
-    directed edge through degree-2 vertices; in exact mode take the prefix
-    of length exactly p, otherwise the maximal prefix (if long enough).
-    Candidates are compared by (endpoint pair, interior)."""
-    best_key = None
-    best_path = None
-    for a0 in adj:
-        for a1 in adj[a0]:
-            path = [a0, a1]
-            while True:
-                last = path[-1]
-                if exact and len(path) - 1 == p:
-                    break
-                if len(adj[last]) != 2:
-                    break
-                nxt = next(iter(adj[last] - {path[-2]}))
-                if nxt == a0:
-                    break
-                path.append(nxt)
-            length = len(path) - 1
-            if length < p or (exact and length != p):
-                continue
-            key = _ear_key(path)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_path = (key[0], *key[2:], key[1])
-    return best_path
+def _best_fixed_width(s: list[int], w: int, count: int) -> tuple[int, ...]:
+    """Smallest key among the windows s[i..i+w], i < count.  The endpoint
+    pair decides unless windows share it; only those are spelled out."""
+    pairs = [(a, b) if a < b else (b, a) for a, b in zip(s[:count], s[w:])]
+    best = min(pairs)
+    return min(_window_key(s, i, i + w) for i, pair in enumerate(pairs) if pair == best)
 
 
-def _find_step(adj: dict[int, set[int]], p: int, exact: bool) -> ReductionStep | None:
-    isolated = [v for v, nb in adj.items() if not nb]
-    if isolated:
-        return ReductionStep(ISOLATED, (min(isolated),))
-    leaves = [v for v, nb in adj.items() if len(nb) == 1]
-    if leaves:
-        return ReductionStep(LEAF, (min(leaves),))
-    ear = _best_ear(adj, p, exact)
-    if ear is not None:
-        return ReductionStep(EAR, ear)
+def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, ...] | None:
+    """Key of the smallest applicable ear on one maximal degree-2 chain.
+
+    closed: s is a cycle component in cyclic order, and the candidates are
+    its runs of w+1 consecutive vertices, w = p (exact) or len(s)-1 (the
+    cycle minus one edge).  Otherwise s runs from a branch vertex to a
+    branch vertex (the same one for a loop), and the candidates are its
+    sub-paths of length >= p with an end at s[0] or s[-1] (exact: all its
+    sub-paths of length p), except the closed walk of a loop.
+    """
+    m = len(s) - 1
+    if closed:
+        if p > m:
+            return None
+        w = p if exact else m
+        return _best_fixed_width(s + s[:w], w, len(s))
+    loop = s[0] == s[m]
+    if m < p or (loop and m == p):
+        return None
+    if exact:
+        return _best_fixed_width(s, p, m - p + 1)
+    # With one end fixed, the smallest pair has the smallest other end.
+    j = s.index(min(s[p:m if loop else m + 1]), p)
+    lo = 1 if loop else 0
+    i = s.index(min(s[lo:m - p + 1]), lo)
+    return min(_window_key(s, 0, j), _window_key(s, i, m))
+
+
+def _walk(adj: dict[int, set[int]], prev: int, cur: int) -> list[int]:
+    """Vertices from cur on, moving away from prev through degree-2
+    vertices: up to the first vertex of another degree, or back to prev
+    when the walk closes a cycle."""
+    start = prev
+    out = [cur]
+    while cur != start and len(adj[cur]) == 2:
+        x, y = adj[cur]
+        prev, cur = cur, (y if x == prev else x)
+        out.append(cur)
+    return out
+
+
+def _chain(adj: dict[int, set[int]], v: int) -> tuple[list[int], bool]:
+    """The maximal degree-2 chain through v (of degree 2), as (s, closed)
+    for `_chain_best`."""
+    a, b = adj[v]
+    right = _walk(adj, v, a)
+    if right[-1] == v:
+        return [v, *right[:-1]], True
+    left = _walk(adj, v, b)
+    left.reverse()
+    return [*left, v, *right], False
+
+
+def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
+              p: int, exact: bool) -> tuple[int, ...] | None:
+    """The smallest applicable ear, once no vertex has degree below 2.
+    Rebuilds the chains through `dirty`, then pops `chains` until an entry
+    re-walks to the key it was pushed with."""
+    while dirty:
+        v = dirty.pop()
+        if len(adj.get(v, ())) != 2:
+            continue
+        s, closed = _chain(adj, v)
+        dirty.difference_update(s)
+        key = _chain_best(s, closed, p, exact)
+        if key is not None:
+            heappush(chains, (key, v))
+    while chains:
+        key, v = heappop(chains)
+        if len(adj.get(v, ())) != 2:
+            continue
+        current = _chain_best(*_chain(adj, v), p, exact)
+        if current == key:
+            return (key[0], *key[2:], key[1])
+        if current is not None:
+            heappush(chains, (current, v))
     return None
 
 
+def _peel(adj: dict[int, set[int]], p: int, exact: bool):
+    """Yield the greedy steps in order; resuming deletes the last yielded
+    step from adj.  Ends when adj is p-irreducible."""
+    isolated = [v for v, nb in adj.items() if not nb]
+    leaves = [v for v, nb in adj.items() if len(nb) == 1]
+    heapify(isolated)
+    heapify(leaves)
+    dirty = {v for v, nb in adj.items() if len(nb) == 2}
+    chains: list = []
+    while True:
+        while isolated and isolated[0] not in adj:
+            heappop(isolated)
+        while leaves and len(adj.get(leaves[0], ())) != 1:
+            heappop(leaves)
+        if isolated:
+            step = ReductionStep(ISOLATED, (heappop(isolated),))
+        elif leaves:
+            step = ReductionStep(LEAF, (heappop(leaves),))
+        else:
+            ear = _next_ear(adj, chains, dirty, p, exact)
+            if ear is None:
+                return
+            step = ReductionStep(EAR, ear)
+        yield step
+        touched = [u for v in step.deleted for u in adj[v]]
+        _delete_vertices(adj, step.deleted)
+        for u in touched:
+            if u not in adj:
+                continue
+            degree = len(adj[u])
+            if degree == 0:
+                heappush(isolated, u)
+            elif degree == 1:
+                heappush(leaves, u)
+            elif degree == 2:
+                dirty.add(u)
+
+
 def find_p_reduction(g: Graph, p: int, exact_ears: bool = False) -> ReductionStep | None:
-    """Some applicable step, or None iff g is p-irreducible.  The choice
-    is deterministic: isolated < leaf < ear, ties to the smallest vertex,
-    ears to the smallest (endpoint pair, interior)."""
+    """The first step of the greedy engine, or None iff g is
+    p-irreducible.  The choice is deterministic: isolated < leaf < ear,
+    ties to the smallest vertex, ears to the smallest (endpoint pair,
+    interior)."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    return _find_step(_work_adj(g), p, exact_ears)
-
-
-def _run_greedy(adj: dict[int, set[int]], p: int, exact: bool) -> list[ReductionStep]:
-    steps = []
-    while adj:
-        step = _find_step(adj, p, exact)
-        if step is None:
-            break
-        _delete_vertices(adj, step.deleted)
-        steps.append(step)
-    return steps
+    return next(_peel(_work_adj(g), p, exact_ears), None)
 
 
 def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
@@ -158,7 +261,7 @@ def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
     if p < 2:
         raise ValueError("p must be >= 2")
     adj = _work_adj(g)
-    steps = _run_greedy(adj, p, exact_ears)
+    steps = list(_peel(adj, p, exact_ears))
     residual = induced_subgraph(g, adj.keys())
     return ReductionSequence(p=p, steps=tuple(steps), exact_ears=exact_ears), residual
 
@@ -169,7 +272,7 @@ def is_p_path_degenerate(g: Graph, p: int, exact_ears: bool = False) -> Degenera
     if p < 2:
         raise ValueError("p must be >= 2")
     adj = _work_adj(g)
-    steps = _run_greedy(adj, p, exact_ears)
+    steps = list(_peel(adj, p, exact_ears))
     if not adj:
         return DegeneracyVerdict(
             degenerate=True,

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from pathdeg.cli import main, run
-from pathdeg.formats import serialize_coloring, serialize_edge_list, serialize_order
+from pathdeg import cycle, fixture, subdivide
+from pathdeg.cli import Report, main, run
+from pathdeg.formats import parse_order, serialize_coloring, serialize_edge_list, serialize_order
+from pathdeg.wcol import WcolBoundParams, weak_order, wcol_under_order, wreach_all, wreach_bound_ok
 
 
 class TestLoadAndAnalyze:
@@ -93,6 +95,59 @@ class TestWcolOrderCommand:
         assert report.ok
         assert report.verification["all_within_bound"] is True
         assert report.result["wcol_under_order"] <= 6
+
+
+class TestWreachReports:
+    """wcol-order and verify order share one per-radius WReach check, and
+    wcol-order reads its weak coloring number off the radius-r sets.  The
+    reports must equal those built with one wreach_all call per radius
+    and a separate wcol_under_order."""
+
+    @staticmethod
+    def reference_verification(g, order, params):
+        per_x = {}
+        ok = True
+        for x in range(params.r + 1):
+            worst = max((len(s) for s in wreach_all(g, order, x)), default=0)
+            good = wreach_bound_ok(worst, x, params)
+            per_x[str(x)] = {"max_wreach": worst, "ok": good}
+            ok = ok and good
+        return {"bound_per_radius": per_x, "all_within_bound": ok}
+
+    @staticmethod
+    def assert_same_report(report, expected):
+        for as_json in (False, True):
+            assert report.render(as_json) == expected.render(as_json)
+
+    @pytest.mark.parametrize("name, k, r, q", [("dodecahedron", 7, 3, 4), ("petersen", 3, 1, 2),
+                                               ("heawood", 6, 2, 3), ("tutte-coxeter", 6, 1, 3)])
+    def test_wcol_order(self, name, k, r, q):
+        argv = ["wcol-order", "-r", str(r), "-q", str(q), "--graph", f"fixture:{name}", "--subdivide", str(k)]
+        report = run(argv)
+        g = subdivide(fixture(name), k)
+        params = WcolBoundParams(r, q)
+        order = weak_order(g, params)
+        verification = self.reference_verification(g, order, params)
+        result = {"r": r, "q": q, "order": serialize_order(order).strip(),
+                  "wcol_under_order": wcol_under_order(g, order, r)}
+        self.assert_same_report(report, Report(" ".join(argv), report.input, result, verification,
+                                               verification["all_within_bound"]))
+
+    @pytest.mark.parametrize("sequence, r, q", [(None, 3, 4), (None, 1, 2), ("3 2 1 6 7 8 4 5 0", 3, 4)])
+    def test_verify_order(self, tmp_path, sequence, r, q):
+        g = cycle(9)
+        order = weak_order(g, WcolBoundParams(3, 4))
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(serialize_edge_list(g))
+        ofile = tmp_path / "order.txt"
+        ofile.write_text(serialize_order(order) if sequence is None else sequence)
+        argv = ["verify", "order", "--graph", str(gfile), "--input", str(ofile), "-r", str(r), "-q", str(q)]
+        report = run(argv)
+        if sequence is not None:
+            order = parse_order(sequence)
+        verification = self.reference_verification(g, order, WcolBoundParams(r, q))
+        self.assert_same_report(report, Report(" ".join(argv), report.input, {}, verification,
+                                               verification["all_within_bound"]))
 
 
 class TestBoundsCommand:
