@@ -10,7 +10,8 @@ Run:  python demos/weak_order_demo.py
 """
 
 from pathdeg import cycle, fixture, subdivide, wcol_exact, wcol_under_order, weak_order
-from pathdeg.wcol import WcolBoundParams, wcol_order_bound, wreach_all, wreach_bound_ok
+from pathdeg.bounds import wcol_girth_rule
+from pathdeg.wcol import WcolBoundParams, wreach_all, wreach_bound_ok
 
 
 def certified_orders():
@@ -31,7 +32,7 @@ def certified_orders():
         achieved = wcol_under_order(g, order, params.r)
         print(f"  {name} (n={g.n}), r={params.r}, q={params.q}: "
               f"max |WReach_x| = {profile}, wcol under order = {achieved} "
-              f"<= {wcol_order_bound(params)}")
+              f"<= {int(wcol_girth_rule(params.r, params.q))}")
     print()
 
 

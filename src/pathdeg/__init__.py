@@ -17,7 +17,7 @@ from .graph import (
     strict_ears,
     subdivide,
 )
-from .generators import GeneratorSpec, cycle, path, complete, theta, fixture, generate
+from .generators import cycle, path, complete, theta, fixture
 from .reduction import (
     CertificateError,
     DegeneracyVerdict,
@@ -60,13 +60,11 @@ __all__ = [
     "girth",
     "strict_ears",
     "subdivide",
-    "GeneratorSpec",
     "cycle",
     "path",
     "complete",
     "theta",
     "fixture",
-    "generate",
     "CertificateError",
     "DegeneracyVerdict",
     "NotPathDegenerate",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, enumerate_cycles, normalize_edge
-from .reduction import ISOLATED, LEAF, NotPathDegenerate, greedy_reduce
+from .reduction import ISOLATED, LEAF, NotPathDegenerate, certificate_or_raise  # noqa: F401 (the colorings raise it)
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,6 @@ class EdgeColoring:
         return self.colors[normalize_edge(u, v)]
 
 
-def _certificate_or_raise(g: Graph, p: int):
-    cert, residual = greedy_reduce(g, p)
-    if residual.n:
-        raise NotPathDegenerate(f"graph is not {p}-path degenerate "
-                                f"({residual.n} vertices stay irreducible)")
-    return cert
-
-
 def _backward_steps(g: Graph, cert):
     """Yield (step, built_vertices) in reverse deletion order; every edge
     of g is introduced by exactly one step."""
@@ -58,7 +50,7 @@ def arboricity_coloring(g: Graph, r: int) -> EdgeColoring:
     colors.  Requires g to be (r+1)-path degenerate."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    cert = _certificate_or_raise(g, r + 1)
+    cert = certificate_or_raise(g, r + 1)
     colors: dict[tuple[int, int], int] = {}
     for step, built in _backward_steps(g, cert):
         if step.kind == ISOLATED:
@@ -89,7 +81,7 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
     (r+1)-path degenerate."""
     if r < 3:
         raise ValueError("r must be >= 3")
-    cert = _certificate_or_raise(g, r + 1)
+    cert = certificate_or_raise(g, r + 1)
     limit = max(g.max_degree(), r)
     colors: dict[tuple[int, int], int] = {}
     at: list[set[int]] = [set() for _ in range(g.n)]   # colors on the edges at each vertex

@@ -5,9 +5,9 @@ refine vertex colors by neighborhood color multisets, branch on the first
 non-singleton color class, and take the minimum adjacency bitstring over
 all discrete refinements.  Exact for the tiny orders used here.
 
-`connected_graphs_upto` regenerates the corpus from scratch; the package
-ships the result for n <= 8 as data/connected_graphs_le8.g6 so tests can
-load it instead of spending a minute rebuilding it.
+`connected_graphs` regenerates the corpus from scratch; the package ships
+the result for n <= 8 as data/connected_graphs_le8.g6 so tests can load
+it instead of spending a minute rebuilding it.
 """
 
 from __future__ import annotations
@@ -69,42 +69,6 @@ def _key_from_perm(masks, perm_by_color):
     return key
 
 
-def canonical_key(g: Graph):
-    """Hashable key identical for isomorphic graphs of the same order."""
-    masks = _masks(g)
-    n = g.n
-    if n == 0:
-        return (0, 0)
-    best = None
-
-    def search(colors):
-        nonlocal best
-        colors = _refine(masks, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            key = _key_from_perm(masks, perm)
-            if best is None or key < best:
-                best = key
-            return
-        for v in target:
-            branched = [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)]
-            search(branched)
-
-    deg_colors = [bin(m).count("1") for m in masks]
-    order = sorted(set(deg_colors))
-    ranks = {d: i for i, d in enumerate(order)}
-    search([ranks[d] for d in deg_colors])
-    return (n, best)
-
-
 def _mask_key(n, masks):
     """canonical_key on a raw adjacency-mask tuple (enumeration hot path)."""
     best = None
@@ -135,6 +99,11 @@ def _mask_key(n, masks):
     ranks = {d: i for i, d in enumerate(order)}
     search([ranks[d] for d in deg_colors])
     return best
+
+
+def canonical_key(g: Graph):
+    """Hashable key identical for isomorphic graphs of the same order."""
+    return (g.n, _mask_key(g.n, _masks(g)))
 
 
 def all_graphs(n: int):
@@ -200,11 +169,6 @@ def connected_graphs(n: int):
     for masks in all_graphs(n):
         if _mask_connected(n, masks):
             yield _masks_to_graph(n, masks)
-
-
-def connected_graphs_upto(n_max: int):
-    for n in range(1, n_max + 1):
-        yield from connected_graphs(n)
 
 
 def builtin_corpus() -> list[Graph]:

@@ -12,13 +12,19 @@ from .graph import Graph, build_graph, normalize_edge
 from .reduction import ReductionSequence, ReductionStep, ISOLATED, LEAF, EAR
 
 
+# Largest vertex count any parser accepts: the graph6 order limit, also
+# checked on edge lists before their adjacency sets are allocated.
+MAX_VERTICES = 258047
+
+
 class FormatError(ValueError):
     pass
 
 
 def parse_edge_list(text: str) -> Graph:
     """Lines of `u v`, `#` comments; an optional leading `n <count>` line
-    declares the vertex count (otherwise max id + 1 is used)."""
+    declares the vertex count (otherwise max id + 1 is used), at most
+    MAX_VERTICES."""
     declared_n = None
     edges = []
     max_id = -1
@@ -47,6 +53,8 @@ def parse_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_id + 1
     if max_id >= n:
         raise FormatError(f"vertex id {max_id} exceeds declared count {n}")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     return build_graph(n, edges)
 
 
@@ -61,9 +69,9 @@ def _g6_number(n: int) -> str:
         raise FormatError("negative order")
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_VERTICES:
         return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    raise FormatError("graph6 supports at most 258047 vertices here")
+    raise FormatError(f"graph6 supports at most {MAX_VERTICES} vertices here")
 
 
 def to_graph6(g: Graph) -> str:
@@ -92,7 +100,7 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("graph6 byte out of range 63..126")
     if s[0] == chr(126):
         if len(s) >= 2 and s[1] == chr(126):
-            raise FormatError("graph6 orders above 258047 not supported")
+            raise FormatError(f"graph6 orders above {MAX_VERTICES} not supported")
         if len(s) < 4:
             raise FormatError("truncated graph6 order")
         n = 0

@@ -8,19 +8,7 @@ regularity and girth when generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, build_graph, girth
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """What to generate: kind in {cycle, path, complete, theta, fixture}
-    with integer parameters, or a fixture name."""
-
-    kind: str
-    params: tuple = ()
-    name: str = ""
 
 
 def cycle(n: int) -> Graph:
@@ -167,22 +155,3 @@ def uneven_k4_witness(p: int) -> Graph:
         nxt += l - 1
         edges.extend(zip(chain, chain[1:]))
     return build_graph(nxt, edges)
-
-
-def generate(spec: GeneratorSpec) -> Graph:
-    """Build the canonical labeled graph for a GeneratorSpec."""
-    kind = spec.kind.lower()
-    if kind == "cycle":
-        (n,) = spec.params
-        return cycle(n)
-    if kind == "path":
-        (n,) = spec.params
-        return path(n)
-    if kind == "complete":
-        (n,) = spec.params
-        return complete(n)
-    if kind == "theta":
-        return theta(*spec.params)
-    if kind == "fixture":
-        return fixture(spec.name or (spec.params[0] if spec.params else ""))
-    raise ValueError(f"unknown generator kind {spec.kind!r}")

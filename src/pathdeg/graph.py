@@ -1,6 +1,6 @@
 """Immutable simple undirected graphs and the structural primitives used
-throughout the package: girth, subdivision, strict ears, and bounded
-enumeration of simple cycles.
+throughout the package: girth, subdivision, the degree-2 chain walk and
+the strict ears built on it, and bounded enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
@@ -181,6 +181,20 @@ def subdivide(g: Graph, k: int) -> Graph:
     return build_graph(g.n + k * g.m, edges)
 
 
+def walk_chain(adj, prev: int, cur: int) -> list[int]:
+    """Vertices from cur on, moving away from prev through degree-2
+    vertices: up to the first vertex of another degree, or back to prev
+    when the walk closes a cycle.  adj maps each vertex to its neighbours
+    (a Graph's adj tuple or a dict of sets)."""
+    start = prev
+    out = [cur]
+    while cur != start and len(adj[cur]) == 2:
+        x, y = adj[cur]
+        prev, cur = cur, (y if x == prev else x)
+        out.append(cur)
+    return out
+
+
 def strict_ears(g: Graph) -> list[StrictEar]:
     """All maximal strict ears whose endpoints have degree != 2.
 
@@ -197,10 +211,7 @@ def strict_ears(g: Graph) -> list[StrictEar]:
         for w in g.adj[u]:
             if g.degree(w) != 2:
                 continue
-            path = [u, w]
-            while g.degree(path[-1]) == 2:
-                a, b = g.adj[path[-1]]
-                path.append(b if a == path[-2] else a)
+            path = [u, *walk_chain(g.adj, u, w)]
             if path[-1] == u:
                 continue
             key = tuple(path) if path[0] < path[-1] else tuple(reversed(path))
@@ -407,11 +418,7 @@ def suppressed_multigraph(g: Graph):
         for w in sorted(g.adj[u]):
             if (u, w) in used:
                 continue
-            path = [u, w]
-            used.add((u, w))
-            while g.degree(path[-1]) == 2:
-                a, b = g.adj[path[-1]]
-                path.append(b if a == path[-2] else a)
+            path = [u, *walk_chain(g.adj, u, w)]
             used.add((path[-1], path[-2]))
             links.append((u, path[-1], len(path) - 1))
     for comp in connected_components(g):

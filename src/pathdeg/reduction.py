@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, induced_subgraph, from_edges
+from .graph import Graph, induced_subgraph, from_edges, walk_chain
 
 ISOLATED = "I"
 LEAF = "L"
@@ -151,27 +151,14 @@ def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, .
     return min(_window_key(s, 0, j), _window_key(s, i, m))
 
 
-def _walk(adj: dict[int, set[int]], prev: int, cur: int) -> list[int]:
-    """Vertices from cur on, moving away from prev through degree-2
-    vertices: up to the first vertex of another degree, or back to prev
-    when the walk closes a cycle."""
-    start = prev
-    out = [cur]
-    while cur != start and len(adj[cur]) == 2:
-        x, y = adj[cur]
-        prev, cur = cur, (y if x == prev else x)
-        out.append(cur)
-    return out
-
-
 def _chain(adj: dict[int, set[int]], v: int) -> tuple[list[int], bool]:
     """The maximal degree-2 chain through v (of degree 2), as (s, closed)
     for `_chain_best`."""
     a, b = adj[v]
-    right = _walk(adj, v, a)
+    right = walk_chain(adj, v, a)
     if right[-1] == v:
         return [v, *right[:-1]], True
-    left = _walk(adj, v, b)
+    left = walk_chain(adj, v, b)
     left.reverse()
     return [*left, v, *right], False
 
@@ -266,6 +253,16 @@ def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
     return ReductionSequence(p=p, steps=tuple(steps), exact_ears=exact_ears), residual
 
 
+def certificate_or_raise(g: Graph, p: int, exact_ears: bool = False) -> ReductionSequence:
+    """The greedy certificate that empties g; raises NotPathDegenerate
+    when g is not p-path degenerate."""
+    cert, residual = greedy_reduce(g, p, exact_ears)
+    if residual.n:
+        raise NotPathDegenerate(f"graph is not {p}-path degenerate "
+                                f"({residual.n} vertices stay irreducible)")
+    return cert
+
+
 def is_p_path_degenerate(g: Graph, p: int, exact_ears: bool = False) -> DegeneracyVerdict:
     """Decide p-path degeneracy with a certificate either way: a replayable
     reduction sequence, or a p-irreducible witness subgraph."""
@@ -292,17 +289,11 @@ def _ear_interiors(adj: dict[int, set[int]], p: int) -> set[frozenset[int]]:
     out: set[frozenset[int]] = set()
     for a0 in adj:
         for a1 in adj[a0]:
-            path = [a0, a1]
-            while True:
-                if len(path) - 1 >= p:
-                    out.add(frozenset(path[1:-1]))
-                last = path[-1]
-                if len(adj[last]) != 2:
-                    break
-                nxt = next(iter(adj[last] - {path[-2]}))
-                if nxt == a0:
-                    break
-                path.append(nxt)
+            path = [a0, *walk_chain(adj, a0, a1)]
+            if path[-1] == a0:              # a cycle back to a0: not an ear
+                path.pop()
+            for end in range(p, len(path)):
+                out.add(frozenset(path[1:end]))
     return out
 
 

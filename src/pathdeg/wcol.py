@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .graph import Graph
-from .reduction import EAR, NotPathDegenerate, greedy_reduce
+from .reduction import EAR, certificate_or_raise
 
 
 @dataclass(frozen=True)
@@ -154,29 +154,19 @@ def weak_order(g: Graph, params: WcolBoundParams) -> LinearOrder:
     """Linear order certifying |WReach_x| <= wcol_target(x) for all
     0 <= x <= r.  Requires g to be 2q-path degenerate; the certificate is
     computed internally with ears of length exactly 2q."""
-    p = params.p
-    cert, residual = greedy_reduce(g, p, exact_ears=True)
-    if residual.n:
-        raise NotPathDegenerate(f"graph is not {p}-path degenerate "
-                                f"({residual.n} vertices stay irreducible)")
+    cert = certificate_or_raise(g, params.p, exact_ears=True)
     q = params.q
-    seq: list[int] = []
+    # Each ear's midpoint goes before everything placed so far, so the
+    # midpoints come out in reverse; everything else goes after.
+    midpoints: list[int] = []
+    rest: list[int] = []
     for step in reversed(cert.steps):
         if step.kind == EAR:
             ear = step.vertices           # length 2q: a_0 .. a_2q
-            w = ear[q]
-            side1 = list(ear[1:q])        # interiors from the first endpoint
-            side2 = [ear[2 * q - z] for z in range(1, q)]  # from the second
-            seq = [w] + seq + side1 + side2
+            midpoints.append(ear[q])
+            rest.extend(ear[1:q])         # interiors from the first endpoint
+            rest.extend(ear[2 * q - z] for z in range(1, q))  # from the second
         else:
-            seq.extend(step.vertices)
-    return LinearOrder.from_sequence(seq)
-
-
-def wcol_order_bound(params: WcolBoundParams) -> int:
-    """Integer weak-coloring bound achieved by the constructed order:
-    r+2+floor(log2((q-1)/(q-r))) when r < q < 2r, else r+2."""
-    r, q = params.r, params.q
-    if q >= 2 * r:
-        return r + 2
-    return r + 2 + math.floor(math.log2((q - 1) / (q - r)))
+            rest.extend(step.vertices)
+    midpoints.reverse()
+    return LinearOrder.from_sequence(midpoints + rest)

@@ -1,6 +1,6 @@
 import pytest
 
-from pathdeg import complete, cycle, path
+from pathdeg import complete, cycle, formats, path
 from pathdeg.colorings import arboricity_coloring
 from pathdeg.formats import (
     FormatError,
@@ -43,6 +43,19 @@ class TestEdgeList:
     def test_round_trip(self, corpus):
         for g in corpus.values():
             assert parse_edge_list(serialize_edge_list(g)).edges == g.edges
+
+    @pytest.mark.parametrize("text", ["n 1000000000\n0 1\n", "0 1\n1 1000000000\n"])
+    def test_vertex_count_capped_before_allocation(self, text, monkeypatch):
+        def build_graph(n, edges):
+            raise AssertionError(f"would allocate {n} adjacency sets")
+
+        monkeypatch.setattr(formats, "build_graph", build_graph)
+        with pytest.raises(FormatError, match=f"limit of {formats.MAX_VERTICES}"):
+            parse_edge_list(text)
+
+    def test_vertex_count_at_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(formats, "build_graph", lambda n, edges: n)
+        assert parse_edge_list(f"n {formats.MAX_VERTICES}\n0 1\n") == formats.MAX_VERTICES
 
 
 class TestGraph6:

@@ -1,6 +1,6 @@
 import pytest
 
-from pathdeg import GeneratorSpec, cycle, generate, girth, theta
+from pathdeg import complete, cycle, girth, path, theta
 from pathdeg.generators import fixture, fixture_names, uneven_k4_witness
 
 
@@ -58,19 +58,15 @@ class TestFixtures:
 
     def test_deterministic(self):
         assert fixture("mcgee").edges == fixture("mcgee").edges
-        assert generate(GeneratorSpec("cycle", (6,))).edges == cycle(6).edges
+        assert cycle(6).edges == cycle(6).edges
 
 
 class TestGenerateDispatch:
     def test_kinds(self):
-        assert generate(GeneratorSpec("path", (4,))).m == 3
-        assert generate(GeneratorSpec("complete", (4,))).m == 6
-        assert generate(GeneratorSpec("theta", (2, 2, 2))).m == 6
-        assert generate(GeneratorSpec("fixture", name="petersen")).n == 10
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec("hypercube", (3,)))
+        assert path(4).m == 3
+        assert complete(4).m == 6
+        assert theta(2, 2, 2).m == 6
+        assert fixture("petersen").n == 10
 
 
 class TestUnevenK4Witness:

@@ -11,6 +11,7 @@ from pathdeg.graph import (
     girth,
     strict_ears,
     suppressed_multigraph,
+    walk_chain,
 )
 
 from conftest import random_graph
@@ -117,6 +118,32 @@ class TestStrictEars:
                 assert g.m - remaining == ear.length
 
 
+def _both_adjacencies(g):
+    return g.adj, {v: set(g.adj[v]) for v in range(g.n)}
+
+
+class TestWalkChain:
+    def test_open_chain_stops_at_other_degree(self):
+        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5)])
+        for adj in _both_adjacencies(g):
+            assert walk_chain(adj, 0, 1) == [1, 2, 3]
+            assert walk_chain(adj, 3, 2) == [2, 1, 0]
+            assert walk_chain(adj, 1, 0) == [0]
+
+    def test_loop_at_branch_vertex_ends_at_it(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        for adj in _both_adjacencies(g):
+            assert walk_chain(adj, 0, 1) == [1, 2, 3, 0]
+            assert walk_chain(adj, 0, 3) == [3, 2, 1, 0]
+
+    def test_cycle_component_closes_at_start(self):
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 5)])
+        for adj in _both_adjacencies(g):
+            assert walk_chain(adj, 0, 1) == [1, 2, 3, 4, 0]
+            assert walk_chain(adj, 2, 1) == [1, 0, 4, 3, 2]
+            assert walk_chain(adj, 5, 7) == [7, 6, 5]
+
+
 class TestEnumerateCycles:
     def test_tree_empty(self):
         assert enumerate_cycles(path(5), 10) == []
@@ -164,3 +191,9 @@ class TestSuppression:
         _, links = suppressed_multigraph(theta(2, 2, 2))
         assert len(links) == 3
         assert all({u, v} == {0, 1} and l == 2 for u, v, l in links)
+
+    def test_lengths_sum_to_edge_count(self, exhaustive_corpus, corpus):
+        subdivided = [subdivide(g, k) for g in corpus.values() for k in (1, 2, 5)]
+        for g in [*exhaustive_corpus, *subdivided]:
+            _, links = suppressed_multigraph(g)
+            assert sum(length for _, _, length in links) == g.m

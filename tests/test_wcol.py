@@ -4,12 +4,12 @@ from itertools import permutations
 import pytest
 
 from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
+from pathdeg.bounds import wcol_girth_rule
 from pathdeg.reduction import NotPathDegenerate
 from pathdeg.wcol import (
     LinearOrder,
     WcolBoundParams,
     wcol_exact,
-    wcol_order_bound,
     wcol_target,
     wcol_under_order,
     weak_order,
@@ -131,6 +131,15 @@ class TestTarget:
         assert wreach_bound_ok(8, 5, params)
         assert not wreach_bound_ok(9, 5, params)
 
+    def test_girth_rule_is_the_integer_target(self):
+        for r in range(1, 31):
+            for q in range(r + 1, 4 * r + 1):
+                params = WcolBoundParams(r, q)
+                rule = wcol_girth_rule(r, q)
+                assert rule == math.floor(wcol_target(r, params)), (r, q)
+                for size in range(int(rule) + 3):
+                    assert wreach_bound_ok(size, r, params) == (size <= rule), (r, q, size)
+
 
 def _assert_good_order(g, order, params):
     for x in range(params.r + 1):
@@ -150,7 +159,7 @@ class TestWeakOrder:
         params = WcolBoundParams(r=3, q=4)
         order = weak_order(g, params)
         _assert_good_order(g, order, params)
-        assert wcol_under_order(g, order, 3) <= wcol_order_bound(params) == 6
+        assert wcol_under_order(g, order, 3) <= wcol_girth_rule(params.r, params.q) == 6
 
     def test_subdivided_dodecahedron_q_2r(self):
         r = 2
