@@ -33,7 +33,7 @@ from .reduction import (
     replay_certificate,
 )
 from .colorings import EdgeColoring, acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow, verify_proper
-from .wcol import LinearOrder, WcolBoundParams, weak_order, wcol_exact, wcol_target, wcol_under_order, wreach_set
+from .wcol import LinearOrder, WcolBoundParams, weak_order, wcol_exact, wcol_target, wcol_under_order
 from .bounds import (
     BoundResult,
     ExpansionParams,
@@ -46,7 +46,7 @@ from .bounds import (
     threshold_beta,
     wcol_girth_rule,
 )
-from .density import DensityValue, StateCapExceeded, mad, max_subgraph_density, nabla_r_bruteforce
+from .density import StateCapExceeded, mad, max_subgraph_density, nabla_r_bruteforce
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "wcol_exact",
     "wcol_target",
     "wcol_under_order",
-    "wreach_set",
     "BoundResult",
     "ExpansionParams",
     "girth_bound_clique",
@@ -99,7 +98,6 @@ __all__ = [
     "lower_bound_poly",
     "threshold_beta",
     "wcol_girth_rule",
-    "DensityValue",
     "StateCapExceeded",
     "mad",
     "max_subgraph_density",

@@ -81,6 +81,9 @@ def _load_graph(spec: str, subdivide_k: int = 0) -> Graph:
     else:
         g = formats.parse_edge_list(Path(spec).read_text())
     if subdivide_k:
+        n = g.n + subdivide_k * g.m
+        if n > formats.MAX_VERTICES:
+            raise formats.FormatError(f"subdivided vertex count {n} exceeds the limit of {formats.MAX_VERTICES}")
         g = subdivide(g, subdivide_k)
     return g
 
@@ -96,15 +99,21 @@ def _summary(g: Graph) -> dict:
             "mad": f"{d.numerator}/{d.denominator}", "mad_real": float(d)}
 
 
-def _cmd_analyze(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _replay_check(g: Graph, cert, report: Report) -> None:
+    """Replay a certificate on g and record the outcome."""
+    try:
+        replay_certificate(g, cert)
+        report.verification = {"certificate_replays": True}
+    except CertificateError as exc:
+        report.verification = {"certificate_replays": False, "error": str(exc)}
+        report.ok = False
+
+
+def _cmd_analyze(args, g: Graph, report: Report) -> None:
     report.result = {"max_degree": g.max_degree()}
 
 
-def _cmd_check(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _cmd_check(args, g: Graph, report: Report) -> None:
     if args.oracle:
         verdict = backtrack_degenerate(g, args.p)
         report.result = {"p": args.p, "degenerate": verdict, "engine": "backtracking"}
@@ -114,13 +123,7 @@ def _cmd_check(args, report: Report) -> None:
     if verdict.degenerate:
         cert = verdict.certificate
         report.result["certificate"] = formats.serialize_certificate(cert).splitlines()
-        try:
-            replay_certificate(g, cert)
-            report.verification["certificate_replays"] = True
-        except CertificateError as exc:
-            report.verification["certificate_replays"] = False
-            report.verification["error"] = str(exc)
-            report.ok = False
+        _replay_check(g, cert, report)
     else:
         report.result["witness_order"] = verdict.witness.n
         report.result["witness_size"] = verdict.witness.m
@@ -129,9 +132,7 @@ def _cmd_check(args, report: Report) -> None:
         report.ok = report.verification["witness_irreducible"]
 
 
-def _cmd_color_arb(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _cmd_color_arb(args, g: Graph, report: Report) -> None:
     coloring = arboricity_coloring(g, args.r)
     report.result = {
         "r": args.r,
@@ -147,9 +148,7 @@ def _cmd_color_arb(args, report: Report) -> None:
     report.ok = ok and coloring.num_colors <= args.r + 1
 
 
-def _cmd_color_acyclic(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _cmd_color_acyclic(args, g: Graph, report: Report) -> None:
     coloring = acyclic_edge_coloring(g, args.r)
     limit = max(g.max_degree(), args.r)
     report.result = {
@@ -182,9 +181,7 @@ def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams) -> tupl
     return {"bound_per_radius": per_x, "all_within_bound": ok}, worst
 
 
-def _cmd_wcol_order(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _cmd_wcol_order(args, g: Graph, report: Report) -> None:
     params = WcolBoundParams(r=args.r, q=args.q)
     order = weak_order(g, params)
     report.verification, wcol = _wreach_check(g, order, params)
@@ -197,7 +194,7 @@ def _cmd_wcol_order(args, report: Report) -> None:
     report.ok = report.verification["all_within_bound"]
 
 
-def _cmd_bounds(args, report: Report) -> None:
+def _cmd_bounds(args, _g: None, report: Report) -> None:
     theorem = args.theorem
     if theorem == "polynomial":
         res = bounds_mod.girth_bound_polynomial(bounds_mod.ExpansionParams(args.a, args.b), args.p)
@@ -236,18 +233,10 @@ def _cmd_bounds(args, report: Report) -> None:
     }
 
 
-def _cmd_verify(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _cmd_verify(args, g: Graph, report: Report) -> None:
     text = Path(args.input).read_text()
     if args.target == "certificate":
-        cert = formats.parse_certificate(text, p=args.p, exact_ears=args.exact_ears)
-        try:
-            replay_certificate(g, cert)
-            report.verification = {"certificate_replays": True}
-        except CertificateError as exc:
-            report.verification = {"certificate_replays": False, "error": str(exc)}
-            report.ok = False
+        _replay_check(g, formats.parse_certificate(text, p=args.p, exact_ears=args.exact_ears), report)
     elif args.target == "coloring":
         coloring = formats.parse_coloring(text)
         results = {}
@@ -270,9 +259,7 @@ def _cmd_verify(args, report: Report) -> None:
         report.ok = report.verification["all_within_bound"]
 
 
-def _cmd_density(args, report: Report) -> None:
-    g = _load_graph(args.graph, args.subdivide)
-    report.input = _summary(g)
+def _cmd_density(args, g: Graph, report: Report) -> None:
     result = {}
     if args.nabla is not None:
         r = Fraction(args.nabla)
@@ -371,7 +358,11 @@ def run(argv: list[str]) -> Report:
     args = build_parser().parse_args(argv)
     report = Report(command=" ".join(argv))
     try:
-        _HANDLERS[args.command](args, report)
+        g = None
+        if "graph" in args:
+            g = _load_graph(args.graph, args.subdivide)
+            report.input = _summary(g)
+        _HANDLERS[args.command](args, g, report)
     except Exception as exc:
         report.result = {"error": type(exc).__name__, "message": str(exc)}
         report.ok = False

@@ -16,15 +16,14 @@ test inequalities at desk scale, not to certify anything large.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .graph import Graph, build_graph
 
 
 class StateCapExceeded(RuntimeError):
     """The shallow-minor search visited more states than allowed."""
-
-
-DensityValue = Fraction
 
 
 class _Dinic:
@@ -245,21 +244,10 @@ def _minor_edges(g: Graph, blocks, roots_dists, length_bound: Fraction):
 
 
 def _root_combinations(rooted, limit: int):
-    def recurse(i, chosen):
-        if i == len(rooted):
-            yield list(chosen)
-            return
-        for choice in rooted[i]:
-            chosen.append(choice)
-            yield from recurse(i + 1, chosen)
-            chosen.pop()
-
-    count = 1
-    for choices in rooted:
-        count *= len(choices)
+    count = prod(len(choices) for choices in rooted)
     if count > limit:
         raise StateCapExceeded(f"{count} root combinations exceed cap {limit}")
-    yield from recurse(0, [])
+    return product(*rooted)
 
 
 def nabla_r_bruteforce(g: Graph, r, cap: int = 300_000) -> Fraction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, is_connected
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -131,26 +131,6 @@ def all_graphs(n: int):
         level = nxt
 
 
-def _mask_connected(n, masks) -> bool:
-    if n <= 1:
-        return True
-    seen = 1
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        m = masks[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if not (seen >> w & 1):
-                seen |= 1 << w
-                count += 1
-                stack.append(w)
-    return count == n
-
-
 def _masks_to_graph(n, masks) -> Graph:
     edges = []
     for v in range(n):
@@ -167,8 +147,9 @@ def _masks_to_graph(n, masks) -> Graph:
 def connected_graphs(n: int):
     """All connected graphs on exactly n vertices, up to isomorphism."""
     for masks in all_graphs(n):
-        if _mask_connected(n, masks):
-            yield _masks_to_graph(n, masks)
+        g = _masks_to_graph(n, masks)
+        if is_connected(g):
+            yield g
 
 
 def builtin_corpus() -> list[Graph]:

@@ -222,54 +222,59 @@ def strict_ears(g: Graph) -> list[StrictEar]:
     return ears
 
 
-def _two_core_mask(g: Graph, allowed: set[int]) -> set[int]:
-    deg = {v: len(g.adj[v] & allowed) for v in allowed}
-    stack = [v for v, d in deg.items() if d < 2]
-    core = set(allowed)
-    while stack:
-        v = stack.pop()
-        if v not in core:
-            continue
-        core.discard(v)
-        for w in g.adj[v]:
-            if w in core:
-                deg[w] -= 1
-                if deg[w] < 2:
-                    stack.append(w)
-    return core
-
-
 def enumerate_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
     """Every simple cycle of g as a vertex sequence, provided there are at
     most `cap` of them; otherwise raises CycleCapExceeded.
 
     Each cycle is reported once, anchored at its smallest vertex with the
-    smaller of its two neighbors on the cycle in second position.
+    smaller of its two neighbors on the cycle in second position.  The
+    cycles anchored at s lie in the 2-core of G[>= s]; that core is
+    computed once and shrunk by peeling s away after its search, so all
+    cores together cost O(n + m).  The depth-first search keeps a stack
+    of neighbor iterators instead of recursing, so cycle length is not
+    bounded by the interpreter's recursion limit.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
+    deg = g.degrees()
+    in_core = [True] * g.n
+
+    def peel(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            if in_core[v]:
+                in_core[v] = False
+                for w in g.adj[v]:
+                    if in_core[w]:
+                        deg[w] -= 1
+                        if deg[w] < 2:
+                            stack.append(w)
+
+    peel([v for v in range(g.n) if deg[v] < 2])
+    nbrs = [sorted(w for w in g.adj[v] if in_core[w]) for v in range(g.n)]
+    onpath = [False] * g.n
     cycles: list[tuple[int, ...]] = []
-
-    def dfs(s: int, core: set[int], path: list[int], onpath: set[int]) -> None:
-        u = path[-1]
-        for w in sorted(g.adj[u]):
-            if w == s and len(path) >= 3 and path[1] < path[-1]:
-                cycles.append(tuple(path))
-                if len(cycles) > cap:
-                    raise CycleCapExceeded(f"more than {cap} simple cycles")
-            elif w > s and w in core and w not in onpath:
-                path.append(w)
-                onpath.add(w)
-                dfs(s, core, path, onpath)
-                onpath.discard(w)
-                path.pop()
-
     for s in range(g.n):
-        allowed = {v for v in range(s, g.n)}
-        core = _two_core_mask(g, allowed)
-        if s not in core:
+        if not in_core[s]:
             continue
-        dfs(s, core, [s], {s})
+        path = [s]
+        onpath[s] = True
+        iters = [iter(nbrs[s])]
+        while iters:
+            for w in iters[-1]:
+                if w == s and len(path) >= 3 and path[1] < path[-1]:
+                    cycles.append(tuple(path))
+                    if len(cycles) > cap:
+                        raise CycleCapExceeded(f"more than {cap} simple cycles")
+                elif in_core[w] and not onpath[w]:
+                    path.append(w)
+                    onpath[w] = True
+                    iters.append(iter(nbrs[w]))
+                    break
+            else:
+                iters.pop()
+                onpath[path.pop()] = False
+        peel([s])
     cycles.sort()
     return cycles
 

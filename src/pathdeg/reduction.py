@@ -398,16 +398,13 @@ def minimal_irreducible_witness_edges(g: Graph, p: int) -> frozenset[tuple[int, 
 
     if degenerate(g.edges):
         raise NotPathDegenerate("input graph is p-path degenerate; no witness exists")
+    # One sweep suffices: subgraphs of degenerate graphs are degenerate,
+    # so an edge kept once stays needed after later deletions.
     current = set(g.edges)
-    improved = True
-    while improved:
-        improved = False
-        for e in sorted(current):
-            trial = current - {e}
-            if not degenerate(trial):
-                current = trial
-                improved = True
-                break
+    for e in sorted(g.edges):
+        current.discard(e)
+        if degenerate(current):
+            current.add(e)
     return frozenset(current)
 
 

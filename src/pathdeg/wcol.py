@@ -94,12 +94,6 @@ def wreach_all(g: Graph, pi: LinearOrder, x: int) -> list[set[int]]:
     return reach
 
 
-def wreach_set(g: Graph, pi: LinearOrder, x: int, v: int) -> set[int]:
-    """Vertices u <= v (under pi) joined to v by a path of length <= x
-    whose internal vertices all lie above u; always contains v."""
-    return wreach_all(g, pi, x)[v]
-
-
 def wcol_under_order(g: Graph, pi: LinearOrder, r: int) -> int:
     if g.n == 0:
         return 0

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from pathdeg import cycle, fixture, subdivide
+from pathdeg import cli, cycle, fixture, formats, subdivide
 from pathdeg.cli import Report, main, run
 from pathdeg.formats import parse_order, serialize_coloring, serialize_edge_list, serialize_order
 from pathdeg.wcol import WcolBoundParams, weak_order, wcol_under_order, wreach_all, wreach_bound_ok
@@ -39,6 +40,23 @@ class TestLoadAndAnalyze:
     def test_error_report(self):
         report = run(["analyze", "--graph", "fixture:nope"])
         assert not report.ok and report.result["error"] == "ValueError"
+
+    def test_subdivide_capped_before_allocation(self, monkeypatch):
+        def subdivide(g, k):
+            raise AssertionError(f"would allocate {g.n + k * g.m} adjacency sets")
+
+        monkeypatch.setattr(cli, "subdivide", subdivide)
+        report = run(["analyze", "--graph", "fixture:petersen", "--subdivide", "1000000000"])
+        assert not report.ok and report.result["error"] == "FormatError"
+        assert f"limit of {formats.MAX_VERTICES}" in report.result["message"]
+
+    def test_subdivide_at_cap_accepted(self, monkeypatch):
+        # petersen: 10 + 15 * 17202 = 258040 <= MAX_VERTICES < 10 + 15 * 17203
+        calls = []
+        monkeypatch.setattr(cli, "subdivide", lambda g, k: calls.append(k) or g)
+        assert run(["analyze", "--graph", "fixture:petersen", "--subdivide", "17202"]).ok
+        assert run(["analyze", "--graph", "fixture:petersen", "--subdivide", "17203"]).result["error"] == "FormatError"
+        assert calls == [17202]
 
 
 class TestCheck:
@@ -82,6 +100,15 @@ class TestColoringCommands:
         assert report.ok
         assert report.verification["proper"] is True
         assert report.verification["cycle_rainbow_ok"] is True
+
+    def test_color_arb_on_long_cycle(self, tmp_path):
+        n = 1100
+        labels = list(range(n))
+        random.Random(1100).shuffle(labels)
+        f = tmp_path / "long_cycle.txt"
+        f.write_text("".join(f"{labels[i]} {labels[(i + 1) % n]}\n" for i in range(n)))
+        report = run(["color-arb", "-r", "2", "--graph", str(f)])
+        assert report.ok and report.input["girth"] == n
 
     def test_rejects_irreducible_input(self):
         report = run(["color-arb", "-r", "1", "--graph", "fixture:dodecahedron"])

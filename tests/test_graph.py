@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pathdeg import INFINITE, CycleCapExceeded, build_graph, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.graph import (
+    connected_components,
     count_cycles_via_cycle_space,
     enumerate_cycles,
     enumerate_cycles_bruteforce,
@@ -144,6 +146,26 @@ class TestWalkChain:
             assert walk_chain(adj, 5, 7) == [7, 6, 5]
 
 
+@st.composite
+def _trees_and_subdivisions(draw, max_n):
+    """A random graph on 3 to 7 vertices with pendant trees hung on it and
+    some edges subdivided, relabeled by a random permutation; at most
+    max_n vertices in all."""
+    n = draw(st.integers(3, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=len(pairs))))
+    total = n + draw(st.integers(0, min(6, max_n - n)))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, total)]
+    subdivided = []
+    for u, v in edges:
+        k = draw(st.integers(0, min(3, max_n - total)))
+        chain = [u, *range(total, total + k), v]
+        total += k
+        subdivided.extend(zip(chain, chain[1:]))
+    perm = draw(st.permutations(range(total)))
+    return build_graph(total, [(perm[u], perm[v]) for u, v in subdivided])
+
+
 class TestEnumerateCycles:
     def test_tree_empty(self):
         assert enumerate_cycles(path(5), 10) == []
@@ -175,6 +197,25 @@ class TestEnumerateCycles:
         cycles = enumerate_cycles(d, 10_000)
         assert len(cycles) == count_cycles_via_cycle_space(d) == 1168
         assert len([c for c in cycles if len(c) == 5]) == 12  # the faces
+
+    def test_long_cycle_has_no_recursion_limit(self):
+        assert enumerate_cycles(cycle(3000), 1) == [tuple(range(3000))]
+
+    def test_k8_with_long_pendant_path(self):
+        # the path is outside the 2-core; K8 has sum C(8,k)(k-1)!/2 cycles
+        g = build_graph(308, [*complete(8).edges, *((7 + i, 8 + i) for i in range(300))])
+        assert len(enumerate_cycles(g, 10_000)) == 8018
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_trees_and_subdivisions(max_n=7))
+    def test_matches_bruteforce_with_trees_and_subdivisions(self, g):
+        assert enumerate_cycles(g, 10_000) == enumerate_cycles_bruteforce(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_trees_and_subdivisions(max_n=40))
+    def test_count_matches_cycle_space_with_trees_and_subdivisions(self, g):
+        assume(g.m - g.n + len(connected_components(g)) <= 12)
+        assert len(enumerate_cycles(g, 10_000)) == count_cycles_via_cycle_space(g)
 
 
 class TestSuppression:

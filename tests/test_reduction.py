@@ -191,6 +191,16 @@ class TestMinimalWitness:
             reduced = build_graph(w.n, w.edges - {e})
             assert is_p_path_degenerate(reduced, 3).degenerate
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_every_witness_edge_is_needed(self, exhaustive_corpus, p):
+        for g in exhaustive_corpus:
+            if g.n > 6 or is_p_path_degenerate(g, p).degenerate:
+                continue
+            edges = minimal_irreducible_witness_edges(g, p)
+            assert not is_p_path_degenerate(build_graph(g.n, edges), p).degenerate
+            for e in edges:
+                assert is_p_path_degenerate(build_graph(g.n, edges - {e}), p).degenerate
+
     def test_degenerate_input_rejected(self):
         with pytest.raises(NotPathDegenerate):
             minimal_irreducible_witness(path(5), 3)

@@ -15,7 +15,6 @@ from pathdeg.wcol import (
     weak_order,
     wreach_all,
     wreach_bound_ok,
-    wreach_set,
 )
 
 
@@ -23,14 +22,14 @@ class TestWreach:
     def test_path_examples(self):
         g = path(3)
         pi = LinearOrder.from_sequence([0, 1, 2])
-        assert wreach_set(g, pi, 1, 2) == {1, 2}
-        assert wreach_set(g, pi, 2, 2) == {0, 1, 2}
+        assert wreach_all(g, pi, 1)[2] == {1, 2}
+        assert wreach_all(g, pi, 2)[2] == {0, 1, 2}
 
     def test_radius_zero_is_self(self, corpus):
         for g in list(corpus.values())[:6]:
             pi = LinearOrder.from_sequence(range(g.n))
             for v in range(g.n):
-                assert wreach_set(g, pi, 0, v) == {v}
+                assert wreach_all(g, pi, 0)[v] == {v}
 
     def test_internal_vertices_must_sit_above_u(self):
         # path a-b-c under order a < c < b: b sees everything, c sees a
@@ -38,9 +37,9 @@ class TestWreach:
         # c sees only itself
         g = path(3)
         pi = LinearOrder.from_sequence([0, 2, 1])
-        assert wreach_set(g, pi, 2, 1) == {0, 1, 2}
-        assert wreach_set(g, pi, 2, 2) == {0, 2}
-        assert wreach_set(g, pi, 1, 2) == {2}
+        assert wreach_all(g, pi, 2)[1] == {0, 1, 2}
+        assert wreach_all(g, pi, 2)[2] == {0, 2}
+        assert wreach_all(g, pi, 1)[2] == {2}
 
     def test_bijectivity_enforced(self):
         with pytest.raises(ValueError):
