@@ -146,8 +146,11 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int, cap: int = 10
     colors.  Cycle enumeration is capped; CycleCapExceeded propagates."""
     if set(coloring.colors) != set(g.edges):
         raise ValueError("coloring is not a total mapping on the graph's edges")
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]    # at[u][v]: the color of edge uv
+    for (u, v), c in coloring.colors.items():
+        at[u][v] = at[v][u] = c
     for cyc in enumerate_cycles(g, cap):
-        distinct = {coloring.of(a, b) for a, b in zip(cyc, cyc[1:] + (cyc[0],))}
+        distinct = {at[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1])}
         if len(distinct) < min(len(cyc), t):
             return False
     return True

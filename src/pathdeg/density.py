@@ -56,27 +56,40 @@ class _Dinic:
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    i = self.head[u][it[u]]
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[i]))
-                        if got:
-                            self.cap[i] -= got
-                            self.cap[i ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
             while True:
-                pushed = dfs(s, 1 << 62)
+                pushed = self._augment(s, t, level, it)
                 if not pushed:
                     break
                 flow += pushed
+
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one s-t path of the level graph and return the
+        amount, or 0 if there is none.  it[u] is the next edge to try at
+        u; an edge is passed over only once the search behind it dead-ends.
+        The path is a stack of edges, not recursion, so its length is not
+        bounded by the interpreter's recursion limit."""
+        head, to, cap = self.head, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            edges = head[u]
+            while it[u] < len(edges):
+                i = edges[it[u]]
+                if cap[i] > 0 and level[to[i]] == level[u] + 1:
+                    path.append(i)
+                    u = to[i]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(1 << 62, *(cap[i] for i in path))
+        for i in path:
+            cap[i] -= pushed
+            cap[i ^ 1] += pushed
+        return pushed
 
     def min_cut_source_side(self, s: int) -> set[int]:
         seen = {s}

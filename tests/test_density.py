@@ -57,6 +57,10 @@ class TestMad:
         assert mad(build_graph(4, [])) == 0
         assert mad(build_graph(0, [])) == 0
 
+    def test_long_path_has_no_recursion_limit(self):
+        # the shortest path whose augmenting paths outgrew a recursive search
+        assert mad(path(1983)) == Fraction(2 * 1982, 1983)
+
 
 class TestNabla:
     def test_depth0_is_subgraph_density(self):

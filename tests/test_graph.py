@@ -42,6 +42,44 @@ class TestBuildGraph:
             assert v in g.adj[u] and u in g.adj[v]
 
 
+@st.composite
+def _trees_and_subdivisions(draw, max_n):
+    """A random graph on 3 to 7 vertices with pendant trees hung on it and
+    some edges subdivided, relabeled by a random permutation; at most
+    max_n vertices in all."""
+    n = draw(st.integers(3, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=len(pairs))))
+    total = n + draw(st.integers(0, min(6, max_n - n)))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, total)]
+    subdivided = []
+    for u, v in edges:
+        k = draw(st.integers(0, min(3, max_n - total)))
+        chain = [u, *range(total, total + k), v]
+        total += k
+        subdivided.extend(zip(chain, chain[1:]))
+    perm = draw(st.permutations(range(total)))
+    return build_graph(total, [(perm[u], perm[v]) for u, v in subdivided])
+
+
+@st.composite
+def _plus_cycle_component(draw, max_n):
+    """A graph from _trees_and_subdivisions beside a disjoint cycle on 3
+    to 6 vertices, relabeled together; the cycle is often the shortest."""
+    length = draw(st.integers(3, 6))
+    g = draw(_trees_and_subdivisions(max_n - length))
+    ring = [(g.n + i, g.n + (i + 1) % length) for i in range(length)]
+    perm = draw(st.permutations(range(g.n + length)))
+    return build_graph(g.n + length, [(perm[u], perm[v]) for u, v in [*g.edges, *ring]])
+
+
+def _canonical(cyc):
+    """Cycle rotated to its smallest vertex, smaller neighbour second."""
+    i = cyc.index(min(cyc))
+    c = tuple(cyc[i:]) + tuple(cyc[:i])
+    return c if c[1] < c[-1] else (c[0], *reversed(c[1:]))
+
+
 class TestGirth:
     def test_c7(self):
         assert girth(cycle(7)) == 7
@@ -70,6 +108,29 @@ class TestGirth:
         base = girth(g)
         expected = INFINITE if base == INFINITE else (k + 1) * base
         assert girth(subdivide(g, k)) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_trees_and_subdivisions(max_n=7))
+    def test_matches_bruteforce_shortest_cycle(self, g):
+        lengths = [len(c) for c in enumerate_cycles_bruteforce(g)]
+        assert girth(g) == min(lengths, default=INFINITE)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(_trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
+    def test_matches_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        assert girth(g) == nx.girth(h)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cycle_component_shorter_than_branch_part(self, k):
+        # subdivided K4 has girth 3(k+1); the ring beside it is shorter
+        base = subdivide(complete(4), k)
+        for length in range(3, 3 * (k + 1)):
+            ring = [(base.n + i, base.n + (i + 1) % length) for i in range(length)]
+            g = build_graph(base.n + length, [*base.edges, *ring])
+            assert girth(g) == length
 
 
 class TestSubdivide:
@@ -146,26 +207,6 @@ class TestWalkChain:
             assert walk_chain(adj, 5, 7) == [7, 6, 5]
 
 
-@st.composite
-def _trees_and_subdivisions(draw, max_n):
-    """A random graph on 3 to 7 vertices with pendant trees hung on it and
-    some edges subdivided, relabeled by a random permutation; at most
-    max_n vertices in all."""
-    n = draw(st.integers(3, 7))
-    pairs = list(combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=len(pairs))))
-    total = n + draw(st.integers(0, min(6, max_n - n)))
-    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, total)]
-    subdivided = []
-    for u, v in edges:
-        k = draw(st.integers(0, min(3, max_n - total)))
-        chain = [u, *range(total, total + k), v]
-        total += k
-        subdivided.extend(zip(chain, chain[1:]))
-    perm = draw(st.permutations(range(total)))
-    return build_graph(total, [(perm[u], perm[v]) for u, v in subdivided])
-
-
 class TestEnumerateCycles:
     def test_tree_empty(self):
         assert enumerate_cycles(path(5), 10) == []
@@ -216,6 +257,48 @@ class TestEnumerateCycles:
     def test_count_matches_cycle_space_with_trees_and_subdivisions(self, g):
         assume(g.m - g.n + len(connected_components(g)) <= 12)
         assert len(enumerate_cycles(g, 10_000)) == count_cycles_via_cycle_space(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(_trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
+    def test_matches_networkx_simple_cycles(self, g):
+        nx = pytest.importorskip("networkx")
+        expected = sorted(_canonical(c) for c in nx.simple_cycles(nx.Graph(list(g.edges))))
+        assert enumerate_cycles(g, 100_000) == expected
+
+    def test_theta_parallel_chains(self):
+        # chains 0-2-1, 0-3-4-1 and 0-5-6-7-8-1 between the hubs 0 and 1
+        assert enumerate_cycles(theta(2, 3, 5), 10) == [
+            (0, 2, 1, 4, 3), (0, 2, 1, 8, 7, 6, 5), (0, 3, 4, 1, 8, 7, 6, 5)]
+
+    def test_cycle_hanging_at_branch_vertex(self):
+        # K4 on 2..5 and the cycle 5-1-0-6-5, a chain from 5 back to itself
+        g = build_graph(7, [*((u + 2, v + 2) for u, v in complete(4).edges), (5, 1), (1, 0), (0, 6), (6, 5)])
+        expected = [(0, 1, 5, 6), (2, 3, 4), (2, 3, 4, 5), (2, 3, 5), (2, 3, 5, 4), (2, 4, 3, 5), (2, 4, 5), (3, 4, 5)]
+        assert enumerate_cycles(g, 10) == expected == enumerate_cycles_bruteforce(g)
+
+    def test_shuffled_subdivided_k4(self):
+        # interior vertices take the small labels, so most cycles start
+        # inside a chain rather than at a branch vertex
+        g = subdivide(complete(4), 2)
+        perm = [*range(12, 16), *[11, 0, 7, 2, 9, 4, 1, 6, 3, 10, 5, 8]]
+        shuffled = build_graph(16, [(perm[u], perm[v]) for u, v in g.edges])
+        expected = sorted(_canonical([perm[v] for v in c]) for c in enumerate_cycles(g, 10))
+        assert len(expected) == 7 and all(c[0] < 12 for c in expected)
+        assert enumerate_cycles(shuffled, 10) == expected
+
+    def test_cap_counts_cycle_components_and_loops(self):
+        two_rings = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        for g in (two_rings, bowtie):
+            assert len(enumerate_cycles(g, 2)) == 2
+            with pytest.raises(CycleCapExceeded):
+                enumerate_cycles(g, 1)
+
+    def test_cap_boundary_on_subdivided_dodecahedron(self):
+        g = subdivide(fixture("dodecahedron"), 100)
+        assert len(enumerate_cycles(g, 1168)) == 1168
+        with pytest.raises(CycleCapExceeded):
+            enumerate_cycles(g, 1167)
 
 
 class TestSuppression:

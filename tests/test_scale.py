@@ -1,11 +1,15 @@
 """The certificate pipeline on a subdivided random cubic graph of about
-20k vertices.  A reduction engine that rescans the graph on every step
-takes minutes here; the peeling engine takes seconds."""
+20k vertices, and girth and cycle enumeration on a subdivided
+dodecahedron of 3020 vertices.  A reduction engine that rescans the graph
+on every step takes minutes on the first; girth with one BFS per vertex,
+or a cycle search that steps through every subdivision vertex, takes
+seconds on the second."""
 
 import random
 
-from pathdeg import build_graph, subdivide
+from pathdeg import build_graph, fixture, subdivide
 from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_proper
+from pathdeg.graph import enumerate_cycles, girth
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
 from pathdeg.wcol import WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
 
@@ -38,3 +42,10 @@ def test_subdivided_cubic_20k():
     for x in (0, 1):
         worst = max(len(s) for s in wreach_all(g, order, x))
         assert wreach_bound_ok(worst, x, params)
+
+
+def test_subdivided_dodecahedron_girth_and_cycles():
+    g = subdivide(fixture("dodecahedron"), 100)
+    assert g.n == 3020
+    assert girth(g) == 505
+    assert len(enumerate_cycles(g, 10_000)) == 1168
