@@ -139,7 +139,7 @@ def _cmd_color_arb(args, g: Graph, report: Report) -> None:
         "colors_used": coloring.num_colors,
         "coloring": formats.serialize_coloring(coloring).splitlines(),
     }
-    ok = verify_cycle_rainbow(g, coloring, t=args.r + 1, cap=args.cycle_cap)
+    ok = verify_cycle_rainbow(g, coloring, t=args.r + 1)
     report.verification = {
         "cycle_rainbow_threshold": args.r + 1,
         "cycle_rainbow_ok": ok,
@@ -157,7 +157,7 @@ def _cmd_color_acyclic(args, g: Graph, report: Report) -> None:
         "coloring": formats.serialize_coloring(coloring).splitlines(),
     }
     proper = verify_proper(g, coloring)
-    rainbow = verify_cycle_rainbow(g, coloring, t=args.r, cap=args.cycle_cap)
+    rainbow = verify_cycle_rainbow(g, coloring, t=args.r)
     report.verification = {
         "proper": proper,
         "cycle_rainbow_threshold": args.r,
@@ -239,16 +239,11 @@ def _cmd_verify(args, g: Graph, report: Report) -> None:
         _replay_check(g, formats.parse_certificate(text, p=args.p, exact_ears=args.exact_ears), report)
     elif args.target == "coloring":
         coloring = formats.parse_coloring(text)
-        results = {}
-        ok = True
-        if args.proper:
-            results["proper"] = verify_proper(g, coloring)
-            ok = ok and results["proper"]
+        results = {"proper": verify_proper(g, coloring)} if args.proper else {}
         results["cycle_rainbow_threshold"] = args.threshold
-        results["cycle_rainbow_ok"] = verify_cycle_rainbow(g, coloring, t=args.threshold, cap=args.cycle_cap)
-        ok = ok and results["cycle_rainbow_ok"]
+        results["cycle_rainbow_ok"] = verify_cycle_rainbow(g, coloring, t=args.threshold)
         report.verification = results
-        report.ok = ok
+        report.ok = results.get("proper", True) and results["cycle_rainbow_ok"]
     elif args.target == "order":
         order = formats.parse_order(text)
         if len(order) != g.n:
@@ -294,12 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color-arb", help="cycle-rainbow coloring with r+1 colors")
     add_graph_opts(p)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--cycle-cap", type=int, default=100_000)
 
     p = sub.add_parser("color-acyclic", help="proper cycle-rainbow coloring")
     add_graph_opts(p)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--cycle-cap", type=int, default=100_000)
 
     p = sub.add_parser("wcol-order", help="weak-coloring order construction")
     add_graph_opts(p)
@@ -330,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=2)
     p.add_argument("--proper", action="store_true")
     p.add_argument("--exact-ears", action="store_true")
-    p.add_argument("--cycle-cap", type=int, default=100_000)
 
     p = sub.add_parser("density", help="mad and optional shallow-minor density")
     add_graph_opts(p)

@@ -12,13 +12,19 @@ enough distinct colors maintains the cycle conditions:
 - `acyclic_edge_coloring` additionally keeps the coloring proper, using
   at most max(degree, r) colors with every cycle seeing at least
   min(|C|, r) of them.
+
+`verify_cycle_rainbow` checks the cycle condition by blocks of unions of
+color classes, not by listing cycles: r+1 linear passes per block for an
+arboricity coloring, C(max(degree, r), r-1) for an acyclic one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graph import Graph, enumerate_cycles, normalize_edge
+from .graph import Graph, blocks, normalize_edge
 from .reduction import ISOLATED, LEAF, NotPathDegenerate, certificate_or_raise  # noqa: F401 (the colorings raise it)
 
 
@@ -31,9 +37,6 @@ class EdgeColoring:
     @property
     def num_colors(self) -> int:
         return len(set(self.colors.values()))
-
-    def of(self, u: int, v: int) -> int:
-        return self.colors[normalize_edge(u, v)]
 
 
 def _backward_steps(g: Graph, cert):
@@ -126,31 +129,49 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
     return coloring
 
 
+MAX_COLOR_SUBSETS = 100_000      # the most color subsets verify_cycle_rainbow checks
+
+
+def _colors_at(g: Graph, coloring: EdgeColoring) -> list[dict[int, int]]:
+    """at[u][v]: the color of edge uv.  Raises on a coloring that does not
+    cover exactly the edges of g."""
+    if set(coloring.colors) != set(g.edges):
+        raise ValueError("coloring is not a total mapping on the graph's edges")
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for (u, v), c in coloring.colors.items():
+        at[u][v] = at[v][u] = c
+    return at
+
+
 def verify_proper(g: Graph, coloring: EdgeColoring) -> bool:
     """True iff no two edges sharing a vertex share a color.  Raises on a
     coloring that does not cover every edge of g."""
-    if set(coloring.colors) != set(g.edges):
-        raise ValueError("coloring is not a total mapping on the graph's edges")
-    for v in range(g.n):
-        seen = set()
-        for u in g.adj[v]:
-            c = coloring.of(v, u)
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    return all(len(set(c.values())) == len(c) for c in _colors_at(g, coloring))
 
 
-def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int, cap: int = 100_000) -> bool:
+def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     """True iff every simple cycle C carries >= min(|C|, t) distinct
-    colors.  Cycle enumeration is capped; CycleCapExceeded propagates."""
-    if set(coloring.colors) != set(g.edges):
-        raise ValueError("coloring is not a total mapping on the graph's edges")
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]    # at[u][v]: the color of edge uv
-    for (u, v), c in coloring.colors.items():
-        at[u][v] = at[v][u] = c
-    for cyc in enumerate_cycles(g, cap):
-        distinct = {at[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-        if len(distinct) < min(len(cyc), t):
-            return False
+    colors.  Raises ValueError if t < 2, on a coloring that does not cover
+    every edge of g, and if more than MAX_COLOR_SUBSETS subsets are due.
+
+    A failing cycle lies in a block B of g, and its colors fit in a set S
+    of min(k, t-1) of the k colors of B; it repeats a color inside a block
+    of the S-colored edges of B.  Conversely, two edges of one color in
+    such a block lie on a common cycle (Whitney), which then fails.  So
+    each block with a cycle costs C(k, min(k, t-1)) linear passes.
+    """
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    at = _colors_at(g, coloring)
+    # a block of fewer than 3 edges is a bridge
+    work = [(b, sorted({at[u][v] for u, v in b})) for b in blocks(g.edges) if len(b) >= 3]
+    subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in work)
+    if subsets > MAX_COLOR_SUBSETS:
+        raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")
+    for block, palette in work:
+        for subset in combinations(palette, min(len(palette), t - 1)):
+            chosen = set(subset)
+            for sub in blocks([(u, v) for u, v in block if at[u][v] in chosen]):
+                if len({at[u][v] for u, v in sub}) < len(sub):
+                    return False
     return True

@@ -178,7 +178,10 @@ def parse_coloring(text: str):
             u, v, c = (int(x) for x in parts)
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer in {raw!r}") from None
-        colors[normalize_edge(u, v)] = c
+        edge = normalize_edge(u, v)
+        if edge in colors:
+            raise FormatError(f"line {lineno}: edge {edge[0]} {edge[1]} listed twice")
+        colors[edge] = c
     return EdgeColoring(colors=colors)
 
 

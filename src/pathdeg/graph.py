@@ -1,17 +1,16 @@
 """Immutable simple undirected graphs and the structural primitives used
 throughout the package: girth, subdivision, the degree-2 chain walk and
-the strict ears built on it, and bounded enumeration of simple cycles.
+the strict ears built on it, the block decomposition, and bounded
+enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
 to share between computations.
 
-The graphs of interest are mostly subdivision vertices, so girth and cycle
-enumeration work per degree-2 chain, not per vertex: `girth` runs one BFS
-per vertex of degree >= 3 and per cycle component, O(n + m) each, and
-`enumerate_cycles` walks each chain of the 2-core once and then searches
-the branch vertices only, one step per chain, paying the length of a
-cycle only when it reports it.
+The graphs of interest are mostly subdivision vertices, so `girth` runs
+one BFS per vertex of degree >= 3 and per cycle component, not per
+vertex.  `blocks` is one linear pass.  `enumerate_cycles` is exponential
+in the worst case and serves the tests and the public API only.
 """
 
 from __future__ import annotations
@@ -236,118 +235,99 @@ def strict_ears(g: Graph) -> list[StrictEar]:
     return ears
 
 
-def _canonical_cycle(c: list[int]) -> tuple[int, ...]:
-    """Cycle c rotated to start at its smallest vertex, turned so that
-    the smaller of that vertex's two neighbours comes second."""
-    low = min(c)
-    if low != c[0]:
-        i = c.index(low)
-        c = c[i:] + c[:i]
-    if c[1] > c[-1]:
-        c = [low, *reversed(c[1:])]
-    return tuple(c)
+def blocks(edges) -> list[list[tuple[int, int]]]:
+    """The blocks (maximal 2-connected subgraphs, and bridges) of the graph
+    formed by `edges`, each as a list of its edges as sorted pairs.
+    Hopcroft-Tarjan (1973) in O(n + m), with a stack of neighbour
+    iterators instead of recursion, so depth has no limit."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    out: list[list[tuple[int, int]]] = []
+    estack: list[tuple[int, int]] = []       # tree and back edges not yet in a block
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        # (u, its parent, its neighbour iterator, where the tree edge into u sits on estack)
+        stack = [(root, None, iter(adj[root]), 0)]
+        while stack:
+            u, parent, it, mark = stack[-1]
+            for w in it:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, u, iter(adj[w]), len(estack)))
+                    estack.append(normalize_edge(u, w))
+                    break
+                if w != parent and disc[w] < disc[u]:      # a back edge, seen from below
+                    estack.append(normalize_edge(u, w))
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] >= disc[parent]:             # no back edge from u's subtree climbs above parent
+                        out.append(estack[mark:])
+                        del estack[mark:]
+    return out
 
 
 def enumerate_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
     """Every simple cycle of g as a vertex sequence, provided there are at
     most `cap` of them; otherwise raises CycleCapExceeded.
 
-    Each cycle is reported once, starting at its smallest vertex with the
-    smaller of its two neighbors on the cycle in second position.
-
-    Every cycle lies in the 2-core, where it is a component with no
-    vertex of degree >= 3, or a loop (a chain of degree-2 vertices from a
-    branch vertex back to itself), or it crosses whole chains between
-    distinct branch vertices.  The first two kinds are read off the chain
-    walk.  The last kind is searched on the branch vertices alone, one
-    step per chain: the cycles whose smallest branch vertex is s lie in
-    the 2-core of the chain multigraph on the branch vertices >= s, which
-    is shrunk by peeling s away after its search, so the walk and all
-    those cores together cost O(n + m).  The depth-first search keeps a
-    stack of iterators instead of recursing, so cycle length is not
+    Each cycle is reported once, anchored at its smallest vertex with the
+    smaller of its two neighbors on the cycle in second position.  The
+    cycles anchored at s lie in the 2-core of G[>= s]; that core is
+    computed once and shrunk by peeling s away after its search, so all
+    cores together cost O(n + m).  The depth-first search keeps a stack
+    of neighbor iterators instead of recursing, so cycle length is not
     bounded by the interpreter's recursion limit.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     deg = g.degrees()
-    # taken[v]: None while v is in the core and off the search path; the
-    # chain the path entered v by while v is on it; True once v is gone
-    taken: list = [None] * g.n
+    in_core = [True] * g.n
 
-    def peel(stack: list[int], adj) -> None:
+    def peel(stack: list[int]) -> None:
         while stack:
             v = stack.pop()
-            if not taken[v]:
-                taken[v] = True
-                for w in adj[v]:
-                    if not taken[w]:
+            if in_core[v]:
+                in_core[v] = False
+                for w in g.adj[v]:
+                    if in_core[w]:
                         deg[w] -= 1
                         if deg[w] < 2:
                             stack.append(w)
 
-    peel([v for v in range(g.n) if deg[v] < 2], g.adj)
-    nbrs = [sorted(w for w in g.adj[v] if not taken[w]) for v in range(g.n)]
-    branch = [v for v in range(g.n) if deg[v] >= 3]
-    # links[u]: (w, the chain's vertices from u to w) per chain from
-    # branch vertex u to another branch vertex w
-    links: list[list[tuple[int, list[int]]]] = [[] for _ in range(g.n)]
-    # the largest smaller end of a chain with interior vertices: searches
-    # from later start vertices meet only chains without interior vertices
-    last_inner = -1
+    peel([v for v in range(g.n) if deg[v] < 2])
+    nbrs = [sorted(w for w in g.adj[v] if in_core[w]) for v in range(g.n)]
+    onpath = [False] * g.n
     cycles: list[tuple[int, ...]] = []
-    for u in branch:
-        for x in nbrs[u]:
-            seg = [u, *walk_chain(nbrs, u, x)]
-            for y in seg[1:-1]:
-                taken[y] = True
-            if seg[-1] != u:
-                links[u].append((seg[-1], seg))
-                if len(seg) > 2:
-                    last_inner = max(last_inner, min(u, seg[-1]))
-            elif x < seg[-2]:        # a loop, taken in one of its two directions
-                cycles.append(_canonical_cycle(seg[:-1]))
-        deg[u] = len(links[u])
-    for v in range(g.n):             # the degree-2 vertices left form cycle components
-        if not taken[v] and len(nbrs[v]) == 2:
-            c = [v, *walk_chain(nbrs, v, nbrs[v][0])]
-            for y in c:
-                taken[y] = True
-            cycles.append(_canonical_cycle(c[:-1]))
-    if len(cycles) > cap:
-        raise CycleCapExceeded(f"more than {cap} simple cycles")
-    ends = [[w for w, _ in out] for out in links]
-    peel([u for u in branch if deg[u] < 2], ends)
-    for s in branch:
-        if taken[s]:
+    for s in range(g.n):
+        if not in_core[s]:
             continue
-        flat = s > last_inner
         path = [s]
-        iters = [iter(links[s])]
+        onpath[s] = True
+        iters = [iter(nbrs[s])]
         while iters:
-            for w, seg in iters[-1]:
-                if w == s:
-                    if taken[path[1]][1] < seg[-2]:     # one of the cycle's two directions
-                        if flat:             # s is the smallest vertex, so path is canonical
-                            cycles.append(tuple(path))
-                        else:
-                            c = []
-                            for v in path[1:]:
-                                c += taken[v]
-                                c.pop()
-                            c += seg
-                            c.pop()
-                            cycles.append(_canonical_cycle(c))
-                        if len(cycles) > cap:
-                            raise CycleCapExceeded(f"more than {cap} simple cycles")
-                elif not taken[w]:
+            for w in iters[-1]:
+                if w == s and len(path) >= 3 and path[1] < path[-1]:
+                    cycles.append(tuple(path))
+                    if len(cycles) > cap:
+                        raise CycleCapExceeded(f"more than {cap} simple cycles")
+                elif in_core[w] and not onpath[w]:
                     path.append(w)
-                    taken[w] = seg
-                    iters.append(iter(links[w]))
+                    onpath[w] = True
+                    iters.append(iter(nbrs[w]))
                     break
             else:
                 iters.pop()
-                taken[path.pop()] = None
-        peel([s], ends)
+                onpath[path.pop()] = False
+        peel([s])
     cycles.sort()
     return cycles
 

@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, path, theta
 from pathdeg.enumeration import builtin_corpus
@@ -60,6 +62,36 @@ def random_graph(rng: random.Random, n: int, prob: float):
     return build_graph(n, edges)
 
 
+def random_cubic(n, rng):
+    """Pairing model, retried until the multigraph is simple."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return build_graph(n, edges)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+@st.composite
+def trees_and_subdivisions(draw, max_n):
+    """A random graph on 3 to 7 vertices with pendant trees hung on it and
+    some edges subdivided, relabeled by a random permutation; at most
+    max_n vertices in all."""
+    n = draw(st.integers(3, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=len(pairs))))
+    total = n + draw(st.integers(0, min(6, max_n - n)))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, total)]
+    subdivided = []
+    for u, v in edges:
+        k = draw(st.integers(0, min(3, max_n - total)))
+        chain = [u, *range(total, total + k), v]
+        total += k
+        subdivided.extend(zip(chain, chain[1:]))
+    perm = draw(st.permutations(range(total)))
+    return build_graph(total, [(perm[u], perm[v]) for u, v in subdivided])

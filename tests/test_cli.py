@@ -8,6 +8,8 @@ from pathdeg.cli import Report, main, run
 from pathdeg.formats import parse_order, serialize_coloring, serialize_edge_list, serialize_order
 from pathdeg.wcol import WcolBoundParams, weak_order, wcol_under_order, wreach_all, wreach_bound_ok
 
+from conftest import random_cubic
+
 
 class TestLoadAndAnalyze:
     def test_fixture_source(self):
@@ -109,6 +111,16 @@ class TestColoringCommands:
         f.write_text("".join(f"{labels[i]} {labels[(i + 1) % n]}\n" for i in range(n)))
         report = run(["color-arb", "-r", "2", "--graph", str(f)])
         assert report.ok and report.input["girth"] == n
+
+    @pytest.mark.parametrize("command", ["color-arb", "color-acyclic"])
+    def test_subdivided_random_cubic(self, tmp_path, command):
+        # cycle space of dimension 60 - 40 + 1 = 21 on 220 vertices: over 100,000 cycles
+        g = subdivide(random_cubic(40, random.Random(220)), 3)
+        f = tmp_path / "cubic.txt"
+        f.write_text(serialize_edge_list(g))
+        report = run([command, "-r", "3", "--graph", str(f)])
+        assert report.ok and report.input["order"] == 220
+        assert report.verification["cycle_rainbow_ok"] is True
 
     def test_rejects_irreducible_input(self):
         report = run(["color-arb", "-r", "1", "--graph", "fixture:dodecahedron"])
@@ -272,6 +284,19 @@ class TestVerifyCommand:
         report = run(["verify", "coloring", "--graph", str(gfile),
                       "--input", str(cfile), "--threshold", "2"])
         assert not report.ok
+
+    def test_threshold_below_two_refused(self, tmp_path):
+        cfile = tmp_path / "col.txt"
+        cfile.write_text("0 1 1\n1 2 1\n0 2 1\n")
+        report = run(["verify", "coloring", "--graph", "g6:Bw", "--input", str(cfile), "--threshold", "1"])
+        assert not report.ok
+        assert report.result == {"error": "ValueError", "message": "t must be >= 2"}
+
+    def test_edge_colored_twice_refused(self, tmp_path):
+        cfile = tmp_path / "col.txt"
+        cfile.write_text("0 1 2\n1 2 2\n0 2 3\n0 1 1\n")
+        report = run(["verify", "coloring", "--graph", "g6:Bw", "--input", str(cfile), "--threshold", "3"])
+        assert not report.ok and report.result["error"] == "FormatError"
 
 
 class TestDensityCommand:

@@ -1,7 +1,11 @@
-import pytest
+import random
 
-from pathdeg import build_graph, cycle, fixture, path, subdivide, theta
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pathdeg import build_graph, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.colorings import (
+    MAX_COLOR_SUBSETS,
     EdgeColoring,
     NotPathDegenerate,
     acyclic_edge_coloring,
@@ -9,9 +13,23 @@ from pathdeg.colorings import (
     verify_cycle_rainbow,
     verify_proper,
 )
+from pathdeg.graph import enumerate_cycles
 from pathdeg.reduction import is_p_path_degenerate
 
-from conftest import random_graph, star
+from conftest import random_graph, star, trees_and_subdivisions
+
+
+def _rainbow_by_enumeration(cycles, coloring: EdgeColoring, t: int) -> bool:
+    """Oracle: every cycle carries at least min(|C|, t) distinct colors."""
+    for cyc in cycles:
+        distinct = {coloring.colors[min(a, b), max(a, b)] for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        if len(distinct) < min(len(cyc), t):
+            return False
+    return True
+
+
+def _random_coloring(g, rng: random.Random, k: int) -> EdgeColoring:
+    return EdgeColoring({e: rng.randint(1, k) for e in sorted(g.edges)})
 
 
 class TestVerifiers:
@@ -43,6 +61,81 @@ class TestVerifiers:
         one = EdgeColoring({e: 1 for e in g.edges})
         assert verify_cycle_rainbow(g, two, t=2)
         assert not verify_cycle_rainbow(g, one, t=2)
+
+    def test_threshold_below_two_rejected(self):
+        g = cycle(3)
+        one = EdgeColoring({e: 1 for e in g.edges})
+        for t in (1, 0, -3):
+            with pytest.raises(ValueError, match="t must be >= 2"):
+                verify_cycle_rainbow(g, one, t=t)
+
+    def test_star_with_distinct_colors(self):
+        # every block is a bridge, so no color subset is checked
+        g = star(50)
+        assert verify_cycle_rainbow(g, EdgeColoring({e: i for i, e in enumerate(sorted(g.edges))}), t=5)
+
+    def test_too_many_color_subsets_refused(self):
+        # K8 is one block of 28 colors: C(28, 9) subsets at t = 10
+        g = complete(8)
+        coloring = EdgeColoring({e: i for i, e in enumerate(sorted(g.edges))})
+        with pytest.raises(ValueError, match=f"needs 6906900 color subsets, over the limit of {MAX_COLOR_SUBSETS}"):
+            verify_cycle_rainbow(g, coloring, t=10)
+        assert verify_cycle_rainbow(g, coloring, t=4)
+
+    def test_subset_larger_than_threshold_minus_one_not_used(self):
+        # the 4-cycle colored 1, 2, 1, 3 sees 3 >= min(4, 3) colors
+        g = cycle(4)
+        coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 3})
+        assert verify_cycle_rainbow(g, coloring, t=3)
+        assert not verify_cycle_rainbow(g, coloring, t=4)
+
+    def test_blocks_sharing_a_vertex_checked_apart(self):
+        # two triangles at vertex 2, each rainbow in the same three colors
+        g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (0, 2): 3, (2, 3): 1, (3, 4): 2, (2, 4): 3})
+        assert verify_cycle_rainbow(g, coloring, t=3)
+
+
+class TestRainbowAgreesWithEnumeration:
+    """verify_cycle_rainbow against the cycle-listing oracle."""
+
+    def test_random_colorings_of_the_corpus(self, exhaustive_corpus):
+        rng = random.Random(6)
+        verdicts = {True: 0, False: 0}
+        for i, g in enumerate(exhaustive_corpus):
+            t = 2 + i % 4
+            coloring = _random_coloring(g, rng, rng.randint(1, t + 3))
+            expected = _rainbow_by_enumeration(enumerate_cycles(g, 10_000), coloring, t)
+            assert verify_cycle_rainbow(g, coloring, t) == expected
+            verdicts[expected] += 1
+        assert min(verdicts.values()) > 1000
+
+    def test_one_edge_mutations_of_built_colorings(self, exhaustive_corpus):
+        rng = random.Random(7)
+        verdicts = {True: 0, False: 0}
+        for g in exhaustive_corpus:
+            # a graph that is not p-path degenerate is not (p+1)-path degenerate
+            for build, r, t in ((arboricity_coloring, 1, 2), (arboricity_coloring, 2, 3),
+                                (acyclic_edge_coloring, 3, 3)):
+                if g.m == 0 or not is_p_path_degenerate(g, r + 1).degenerate:
+                    break
+                coloring = build(g, r)
+                cycles = enumerate_cycles(g, 10_000)
+                assert verify_cycle_rainbow(g, coloring, t) and _rainbow_by_enumeration(cycles, coloring, t)
+                colors = dict(coloring.colors)
+                e = rng.choice(sorted(colors))
+                colors[e] = rng.choice([c for c in range(1, coloring.num_colors + 2) if c != colors[e]])
+                mutant = EdgeColoring(colors)
+                expected = _rainbow_by_enumeration(cycles, mutant, t)
+                assert verify_cycle_rainbow(g, mutant, t) == expected
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 100
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=16), st.integers(2, 5), st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_subdivided_graphs_with_pendant_trees(self, g, t, k, rnd):
+        coloring = _random_coloring(g, rnd, k)
+        assert verify_cycle_rainbow(g, coloring, t) == _rainbow_by_enumeration(enumerate_cycles(g, 10_000), coloring, t)
 
 
 class TestArboricityColoring:

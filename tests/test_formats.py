@@ -162,6 +162,12 @@ class TestColoringLines:
         with pytest.raises(FormatError, match="line 1"):
             parse_coloring("0 1")
 
+    def test_edge_listed_twice(self):
+        with pytest.raises(FormatError, match="line 4: edge 0 1 listed twice"):
+            parse_coloring("0 1 2\n1 2 2\n0 2 3\n0 1 1\n")
+        with pytest.raises(FormatError, match="line 2: edge 1 2 listed twice"):
+            parse_coloring("2 1 1\n1 2 1\n")
+
 
 class TestOrderLines:
     def test_round_trip(self):

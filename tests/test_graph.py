@@ -1,11 +1,11 @@
 import math
-from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pathdeg import INFINITE, CycleCapExceeded, build_graph, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.graph import (
+    blocks,
     connected_components,
     count_cycles_via_cycle_space,
     enumerate_cycles,
@@ -16,7 +16,7 @@ from pathdeg.graph import (
     walk_chain,
 )
 
-from conftest import random_graph
+from conftest import random_graph, trees_and_subdivisions
 
 
 class TestBuildGraph:
@@ -43,31 +43,11 @@ class TestBuildGraph:
 
 
 @st.composite
-def _trees_and_subdivisions(draw, max_n):
-    """A random graph on 3 to 7 vertices with pendant trees hung on it and
-    some edges subdivided, relabeled by a random permutation; at most
-    max_n vertices in all."""
-    n = draw(st.integers(3, 7))
-    pairs = list(combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=len(pairs))))
-    total = n + draw(st.integers(0, min(6, max_n - n)))
-    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, total)]
-    subdivided = []
-    for u, v in edges:
-        k = draw(st.integers(0, min(3, max_n - total)))
-        chain = [u, *range(total, total + k), v]
-        total += k
-        subdivided.extend(zip(chain, chain[1:]))
-    perm = draw(st.permutations(range(total)))
-    return build_graph(total, [(perm[u], perm[v]) for u, v in subdivided])
-
-
-@st.composite
 def _plus_cycle_component(draw, max_n):
-    """A graph from _trees_and_subdivisions beside a disjoint cycle on 3
+    """A graph from trees_and_subdivisions beside a disjoint cycle on 3
     to 6 vertices, relabeled together; the cycle is often the shortest."""
     length = draw(st.integers(3, 6))
-    g = draw(_trees_and_subdivisions(max_n - length))
+    g = draw(trees_and_subdivisions(max_n - length))
     ring = [(g.n + i, g.n + (i + 1) % length) for i in range(length)]
     perm = draw(st.permutations(range(g.n + length)))
     return build_graph(g.n + length, [(perm[u], perm[v]) for u, v in [*g.edges, *ring]])
@@ -110,13 +90,13 @@ class TestGirth:
         assert girth(subdivide(g, k)) == expected
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_trees_and_subdivisions(max_n=7))
+    @given(trees_and_subdivisions(max_n=7))
     def test_matches_bruteforce_shortest_cycle(self, g):
         lengths = [len(c) for c in enumerate_cycles_bruteforce(g)]
         assert girth(g) == min(lengths, default=INFINITE)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.one_of(_trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
+    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
     def test_matches_networkx(self, g):
         nx = pytest.importorskip("networkx")
         h = nx.Graph(list(g.edges))
@@ -248,18 +228,18 @@ class TestEnumerateCycles:
         assert len(enumerate_cycles(g, 10_000)) == 8018
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_trees_and_subdivisions(max_n=7))
+    @given(trees_and_subdivisions(max_n=7))
     def test_matches_bruteforce_with_trees_and_subdivisions(self, g):
         assert enumerate_cycles(g, 10_000) == enumerate_cycles_bruteforce(g)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_trees_and_subdivisions(max_n=40))
+    @given(trees_and_subdivisions(max_n=40))
     def test_count_matches_cycle_space_with_trees_and_subdivisions(self, g):
         assume(g.m - g.n + len(connected_components(g)) <= 12)
         assert len(enumerate_cycles(g, 10_000)) == count_cycles_via_cycle_space(g)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.one_of(_trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
+    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
     def test_matches_networkx_simple_cycles(self, g):
         nx = pytest.importorskip("networkx")
         expected = sorted(_canonical(c) for c in nx.simple_cycles(nx.Graph(list(g.edges))))
@@ -299,6 +279,41 @@ class TestEnumerateCycles:
         assert len(enumerate_cycles(g, 1168)) == 1168
         with pytest.raises(CycleCapExceeded):
             enumerate_cycles(g, 1167)
+
+
+def _block_sets(block_list):
+    return sorted(sorted(b) for b in block_list)
+
+
+class TestBlocks:
+    def test_bowtie_path_and_bridge(self):
+        g = build_graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6)])
+        assert _block_sets(blocks(g.edges)) == [
+            [(0, 1), (0, 2), (1, 2)], [(2, 3), (2, 4), (3, 4)], [(4, 5)], [(5, 6)]]
+
+    def test_edges_are_sorted_pairs_and_partitioned(self):
+        g = subdivide(fixture("petersen"), 2)
+        found = [e for b in blocks(g.edges) for e in b]
+        assert sorted(found) == sorted(g.edges)
+
+    def test_two_blocks_through_the_dfs_root(self):
+        # the search starts at 0, the cut vertex of two 4-cycles
+        assert _block_sets(blocks([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])) == [
+            [(0, 1), (0, 3), (1, 2), (2, 3)], [(0, 4), (0, 6), (4, 5), (5, 6)]]
+
+    def test_empty(self):
+        assert blocks([]) == []
+
+    def test_long_cycle_has_no_recursion_limit(self):
+        assert _block_sets(blocks(cycle(3000).edges)) == [sorted(cycle(3000).edges)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
+    def test_matches_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(list(g.edges))
+        expected = _block_sets([[tuple(sorted(e)) for e in b] for b in nx.biconnected_component_edges(h)])
+        assert _block_sets(blocks(g.edges)) == expected
 
 
 class TestSuppression:

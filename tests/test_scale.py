@@ -1,27 +1,19 @@
-"""The certificate pipeline on a subdivided random cubic graph of about
-20k vertices, and girth and cycle enumeration on a subdivided
-dodecahedron of 3020 vertices.  A reduction engine that rescans the graph
-on every step takes minutes on the first; girth with one BFS per vertex,
-or a cycle search that steps through every subdivision vertex, takes
-seconds on the second."""
+"""The certificate pipeline, both colorings and their verifiers on a
+subdivided random cubic graph of about 20k vertices, and girth and cycle
+enumeration on a subdivided dodecahedron of 3020 vertices.  A reduction
+engine that rescans the graph on every step takes minutes on the first,
+and a cycle-rainbow check that lists cycles runs past any cycle cap there; girth with
+one BFS per vertex takes seconds on the second."""
 
 import random
 
-from pathdeg import build_graph, fixture, subdivide
-from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_proper
+from pathdeg import fixture, subdivide
+from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow, verify_proper
 from pathdeg.graph import enumerate_cycles, girth
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
 from pathdeg.wcol import WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
 
-
-def random_cubic(n, rng):
-    """Pairing model, retried until the multigraph is simple."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
-        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
-        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
-            return build_graph(n, edges)
+from conftest import random_cubic
 
 
 def test_subdivided_cubic_20k():
@@ -32,9 +24,12 @@ def test_subdivided_cubic_20k():
     assert verdict.degenerate
     replay_certificate(g, verdict.certificate)
 
-    assert arboricity_coloring(g, 3).num_colors <= 4
+    coloring = arboricity_coloring(g, 3)
+    assert coloring.num_colors <= 4
+    assert verify_cycle_rainbow(g, coloring, t=4)
     coloring = acyclic_edge_coloring(g, 3)
     assert verify_proper(g, coloring)
+    assert verify_cycle_rainbow(g, coloring, t=3)
 
     params = WcolBoundParams(r=1, q=2)
     order = weak_order(g, params)
