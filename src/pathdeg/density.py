@@ -1,11 +1,30 @@
 """Exact subgraph density, maximum average degree, and a brute-force
 shallow-minor density for tiny graphs.
 
-`max_subgraph_density` is exact: each Dinkelbach iteration asks, for the
-current candidate density a/b, whether some vertex set S has
-e(S) - (a/b)|S| > 0, answered by an integer min-cut (capacities scaled by
-the denominator).  The candidate strictly improves until the true maximum
-is reached, so the result is an exact Fraction.
+`max_subgraph_density` works on the 2-core and has three closed forms.
+Deleting a vertex of degree <= 1 never lowers a density that is >= 1, so
+a graph with a cycle reaches its maximum, which is >= 1, inside its
+2-core.  A forest (empty 2-core) has maximum (c-1)/c, with c the order of
+its largest component.  A 2-core without a vertex of degree >= 3 is a
+union of cycles, of density exactly 1.
+
+Otherwise an optimal subgraph of the 2-core takes each degree-2 chain
+whole or not at all, so only the branch vertices (core degree >= 3) are
+decided.  Dinkelbach (1967) iterations start at the core's density
+lambda = a/b, kept as integers.  Each round asks whether some subgraph
+has positive gain b*edges - a*vertices.  For a set S of branch vertices
+the best gain is the total weight w of the chains with both ends in S,
+minus a|S|: a chain of length L is worth b*L - a*(L-1), taken only when
+positive, and a loop chain counts at its one vertex.  That is a min-cut
+on Goldberg's network (1984) with one node per branch vertex and one arc
+pair per chain, of capacity w both ways.  The source->v and v->sink arcs
+keep only the excess: with d_w(v) the weighted degree (a loop counted
+twice), source->v carries d_w(v) - 2a when positive and v->sink carries
+2a - d_w(v) otherwise, so no big-M is needed.  S has positive gain
+exactly when the maximum flow leaves some source arc unsaturated; then
+the source side of the minimum cut, with its positive chains, is a
+subgraph denser than lambda and the next candidate.  A round without
+supply needs no flow.  The result is the exact Fraction.
 
 `nabla_r_bruteforce` enumerates families of disjoint rooted blocks of
 bounded radius, keeps the minor edges allowed by the root-distance rule,
@@ -19,134 +38,144 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, connected_components, peel, walk_chain
 
 
 class StateCapExceeded(RuntimeError):
     """The shallow-minor search visited more states than allowed."""
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+def _min_cut_levels(head, to, cap, s: int, t: int) -> list[int]:
+    """Dinic's maximum s-t flow on the residual capacities `cap` (arc i and
+    its reverse i ^ 1), changed in place.  Returns the levels of the last
+    breadth-first search: level[v] >= 0 exactly for the vertices on the
+    source side of a minimum cut.
 
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for i in self.head[u]:
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push flow along one s-t path of the level graph and return the
-        amount, or 0 if there is none.  it[u] is the next edge to try at
-        u; an edge is passed over only once the search behind it dead-ends.
-        The path is a stack of edges, not recursion, so its length is not
-        bounded by the interpreter's recursion limit."""
-        head, to, cap = self.head, self.to, self.cap
+    Augmenting paths are a stack of arcs, not recursion, so their length
+    is not bounded by the recursion limit.  it[u] is the next arc to try
+    at u; an arc is passed over only once the search behind it dead-ends,
+    and after a push the search resumes at the tail of the first arc the
+    push saturated."""
+    while True:
+        level = [-1] * len(head)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for i in head[u]:
+                v = to[i]
+                if cap[i] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return level
+        it = [0] * len(head)
         path: list[int] = []
         u = s
-        while u != t:
-            edges = head[u]
-            while it[u] < len(edges):
-                i = edges[it[u]]
-                if cap[i] > 0 and level[to[i]] == level[u] + 1:
+        while True:
+            if u == t:
+                pushed = min(map(cap.__getitem__, path))
+                for i in path:
+                    cap[i] -= pushed
+                    cap[i ^ 1] += pushed
+                x = 0
+                while cap[path[x]]:
+                    x += 1
+                del path[x:]
+                u = to[path[-1]] if path else s
+            arcs = head[u]
+            up = level[u] + 1
+            for x in range(it[u], len(arcs)):
+                i = arcs[x]
+                if cap[i] > 0 and level[to[i]] == up:
+                    it[u] = x
                     path.append(i)
                     u = to[i]
                     break
-                it[u] += 1
             else:
+                it[u] = len(arcs)
                 if not path:
-                    return 0
+                    break
                 u = to[path.pop() ^ 1]
                 it[u] += 1
-        pushed = min(1 << 62, *(cap[i] for i in path))
-        for i in path:
-            cap[i] -= pushed
-            cap[i ^ 1] += pushed
-        return pushed
-
-    def min_cut_source_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-
-def _improving_subset(g: Graph, lam: Fraction) -> set[int] | None:
-    """Vertex set S with e(S) > lam*|S| if one exists, else None.
-
-    Network: source->v with 2bm, v->sink with 2bm + 4a - 2b*deg(v), both
-    edge directions with 2b; a source-side cut {s} u S costs
-    2b*(n*m - 2*(e(S) - lam*|S|)).
-    """
-    a, b = lam.numerator, lam.denominator
-    n, m = g.n, g.m
-    net = _Dinic(n + 2)
-    s, t = n, n + 1
-    for v in range(n):
-        net.add(s, v, 2 * b * m)
-        net.add(v, t, 2 * b * m + 4 * a - 2 * b * g.degree(v))
-    for u, v in g.edges:
-        net.add(u, v, 2 * b)
-        net.add(v, u, 2 * b)
-    flow = net.max_flow(s, t)
-    if flow >= 2 * b * n * m:
-        return None
-    side = net.min_cut_source_side(s) - {s}
-    return side if side else None
-
-
-def _induced_edge_count(g: Graph, vs: set[int]) -> int:
-    return sum(1 for u, v in g.edges if u in vs and v in vs)
 
 
 def max_subgraph_density(g: Graph) -> Fraction:
     """Maximum of edges/vertices over nonempty subgraphs, exact."""
     if g.n == 0:
         raise ValueError("empty graph has no nonempty subgraph")
-    if g.m == 0:
-        return Fraction(0)
-    lam = Fraction(g.m, g.n)
+    adj = g.adj
+    deg = g.degrees()
+    core = [True] * g.n
+    a, b = g.m, g.n
+    stack = [v for v in range(g.n) if deg[v] < 2]
+    if stack:
+        peel(adj, deg, core, stack)
+        adj = [[w for w in nbrs if core[w]] for nbrs in adj]
+        b = sum(core)
+        if not b:
+            c = max(len(comp) for comp in connected_components(g))
+            return Fraction(c - 1, c)
+        a = sum(d for d, alive in zip(deg, core) if alive) // 2
+    branch = [v for v in range(g.n) if core[v] and deg[v] >= 3]
+    if not branch:
+        return Fraction(1)
+    # (i, j, L): a chain of length L between branch[i] and branch[j], i == j for a loop
+    pos = [-1] * g.n
+    for i, v in enumerate(branch):
+        pos[v] = i
+    links: list[tuple[int, int, int]] = []
+    walked = set()
+    for i, u in enumerate(branch):
+        for w in adj[u]:
+            j = pos[w]
+            if j < 0:
+                if w not in walked:
+                    chain = walk_chain(adj, u, w)
+                    walked.add(chain[-2])
+                    links.append((i, pos[chain[-1]], len(chain)))
+            elif i < j:
+                links.append((i, j, 1))
+    # arcs 4v, 4v+1: source->v and back; 4v+2, 4v+3: v->sink and back;
+    # then 4k+2p, 4k+2p+1 join the ends of links[p] (a loop's pair never
+    # carries flow).  Arcs into the source or out of the sink lie on no
+    # augmenting path, so no head list holds them.
+    k = len(branch)
+    s, t = k, k + 1
+    to: list[int] = []
+    for v in range(k):
+        to += (v, s, t, v)
+    head = [[4 * v + 2] for v in range(k)] + [list(range(0, 4 * k, 4)), []]
+    for i, j, _ in links:
+        head[i].append(len(to))
+        head[j].append(len(to) + 1)
+        to += (j, i)
     while True:
-        improved = _improving_subset(g, lam)
-        if improved is None:
-            return lam
-        better = Fraction(_induced_edge_count(g, improved), len(improved))
-        if better <= lam:
-            return lam
-        lam = better
+        weights = [max(0, b * L - a * (L - 1)) for _, _, L in links]
+        excess = [-2 * a] * k
+        chain_cap: list[int] = []
+        for (i, j, _), w in zip(links, weights):
+            excess[i] += w
+            excess[j] += w          # so a loop counts twice
+            chain_cap += (w, w)
+        if max(excess) <= 0:
+            return Fraction(a, b)
+        cap: list[int] = []
+        for x in excess:
+            cap += (x, 0, 0, 0) if x > 0 else (0, 0, -x, 0)
+        level = _min_cut_levels(head, to, cap + chain_cap, s, t)
+        nodes = sum(1 for x in level[:k] if x >= 0)
+        if not nodes:
+            return Fraction(a, b)
+        edges = 0
+        for (i, j, L), w in zip(links, weights):
+            if w and level[i] >= 0 and level[j] >= 0:
+                edges += L
+                nodes += L - 1
+        a, b = edges, nodes
+
+
+def _induced_edge_count(g: Graph, vs: set[int]) -> int:
+    return sum(1 for u, v in g.edges if u in vs and v in vs)
 
 
 def max_subgraph_density_bruteforce(g: Graph) -> Fraction:

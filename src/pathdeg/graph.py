@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs and the structural primitives used
 throughout the package: girth, subdivision, the degree-2 chain walk and
-the strict ears built on it, the block decomposition, and bounded
-enumeration of simple cycles.
+the strict ears built on it, the 2-core peel, the block decomposition,
+and bounded enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
@@ -208,6 +208,22 @@ def walk_chain(adj, prev: int, cur: int) -> list[int]:
     return out
 
 
+def peel(adj, deg: list[int], alive: list[bool], stack: list[int]) -> None:
+    """Delete the vertices on `stack`, then every vertex whose degree falls
+    below 2 in turn, by clearing alive[v].  deg[v] is kept as the number of
+    live neighbours of each live vertex.  Started from every vertex of
+    degree < 2 of a whole graph, it leaves alive exactly the 2-core."""
+    while stack:
+        v = stack.pop()
+        if alive[v]:
+            alive[v] = False
+            for w in adj[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] < 2:
+                        stack.append(w)
+
+
 def strict_ears(g: Graph) -> list[StrictEar]:
     """All maximal strict ears whose endpoints have degree != 2.
 
@@ -291,19 +307,7 @@ def enumerate_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
         raise ValueError("cap must be positive")
     deg = g.degrees()
     in_core = [True] * g.n
-
-    def peel(stack: list[int]) -> None:
-        while stack:
-            v = stack.pop()
-            if in_core[v]:
-                in_core[v] = False
-                for w in g.adj[v]:
-                    if in_core[w]:
-                        deg[w] -= 1
-                        if deg[w] < 2:
-                            stack.append(w)
-
-    peel([v for v in range(g.n) if deg[v] < 2])
+    peel(g.adj, deg, in_core, [v for v in range(g.n) if deg[v] < 2])
     nbrs = [sorted(w for w in g.adj[v] if in_core[w]) for v in range(g.n)]
     onpath = [False] * g.n
     cycles: list[tuple[int, ...]] = []
@@ -327,7 +331,7 @@ def enumerate_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
             else:
                 iters.pop()
                 onpath[path.pop()] = False
-        peel([s])
+        peel(g.adj, deg, in_core, [s])
     cycles.sort()
     return cycles
 

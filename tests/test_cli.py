@@ -33,6 +33,11 @@ class TestLoadAndAnalyze:
         assert report.input == {"order": 50, "size": 60, "girth": 10,
                                 "mad": "12/5", "mad_real": 2.4}
 
+    def test_long_subdivision_mad(self):
+        # K4 with 2000 vertices on each edge: the whole graph is densest
+        report = run(["analyze", "--graph", "fixture:k4", "--subdivide", "2000"])
+        assert report.input["mad"] == "6003/3001"
+
     def test_forest_girth_rendering(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("0 1\n")

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
+from pathdeg import build_graph, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.density import (
     StateCapExceeded,
     mad,
@@ -12,7 +13,8 @@ from pathdeg.density import (
     shallow_minors,
 )
 
-from conftest import random_graph
+from conftest import random_graph, star, trees_and_subdivisions
+from density_oracle import max_subgraph_density_per_vertex
 
 HALF = Fraction(1, 2)
 
@@ -60,6 +62,76 @@ class TestMad:
     def test_long_path_has_no_recursion_limit(self):
         # the shortest path whose augmenting paths outgrew a recursive search
         assert mad(path(1983)) == Fraction(2 * 1982, 1983)
+
+
+def _disjoint(*graphs):
+    """Disjoint union; each graph's vertices are numbered after the last."""
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return build_graph(n, edges)
+
+
+def _ladder(n):
+    """The 2 x n grid: two paths of n vertices joined rung by rung."""
+    rails = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
+    return build_graph(2 * n, rails + [(i, n + i) for i in range(n)])
+
+
+def _walk(*vertices):
+    return list(zip(vertices, vertices[1:]))
+
+
+BOWTIE = _walk(0, 1, 2, 0, 3, 4, 0)
+# three chains of length 5 from the bowtie's centre 0 to vertex 5
+BOWTIE_CHAINS = BOWTIE + _walk(0, 6, 7, 8, 9, 5) + _walk(0, 10, 11, 12, 13, 5) + _walk(0, 14, 15, 16, 17, 5)
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+FIXED = {
+    "forest of unequal trees": (_disjoint(path(3), star(5), path(2)), Fraction(5, 6)),
+    "tree larger than a cycle": (_disjoint(cycle(4), path(8)), Fraction(1)),
+    "k4 beside a long cycle": (_disjoint(complete(4), cycle(8)), Fraction(3, 2)),
+    "bowtie": (build_graph(5, BOWTIE), Fraction(6, 5)),
+    "bowtie with three long chains": (build_graph(18, BOWTIE_CHAINS), Fraction(6, 5)),
+    "theta 1,2,2,7": (theta(1, 2, 2, 7), Fraction(5, 4)),
+    "theta 2,3,4": (theta(2, 3, 4), Fraction(9, 8)),
+    "chains of length 1 and 5 between one pair": (build_graph(8, K4 + _walk(0, 4, 5, 6, 7, 1)), Fraction(3, 2)),
+    "k4 with a long pendant path": (build_graph(24, K4 + _walk(*range(3, 24))), Fraction(3, 2)),
+}
+
+
+class TestAgreesWithPerVertexNetwork:
+    """max_subgraph_density, on the 2-core's branch vertices, against the
+    per-vertex network of tests/density_oracle.py and brute force."""
+
+    @pytest.mark.parametrize("name", sorted(FIXED))
+    def test_fixed_cases(self, name):
+        g, expected = FIXED[name]
+        assert max_subgraph_density(g) == expected
+        assert max_subgraph_density_per_vertex(g) == expected
+        if g.n <= 12:
+            assert max_subgraph_density_bruteforce(g) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=30))
+    def test_subdivided_graphs_with_pendant_trees(self, g):
+        assert max_subgraph_density(g) == max_subgraph_density_per_vertex(g)
+
+    def test_random_graphs(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(10, 40), rng.uniform(0.05, 0.3))
+            assert max_subgraph_density(g) == max_subgraph_density_per_vertex(g)
+
+
+class TestMadAtScale:
+    def test_ladder(self):
+        # 2n vertices and 3n - 2 edges; a long network for the augmenting paths
+        n = 1000
+        assert mad(_ladder(n)) == Fraction(2 * (3 * n - 2), 2 * n)
+
+    def test_long_path(self):
+        assert mad(path(20000)) == Fraction(2 * 19999, 20000)
 
 
 class TestNabla:

@@ -1,14 +1,17 @@
-"""The certificate pipeline, both colorings and their verifiers on a
-subdivided random cubic graph of about 20k vertices, and girth and cycle
-enumeration on a subdivided dodecahedron of 3020 vertices.  A reduction
-engine that rescans the graph on every step takes minutes on the first,
-and a cycle-rainbow check that lists cycles runs past any cycle cap there; girth with
-one BFS per vertex takes seconds on the second."""
+"""The certificate pipeline, both colorings and their verifiers, and mad
+on a subdivided random cubic graph of about 20k vertices, and girth and
+cycle enumeration on a subdivided dodecahedron of 3020 vertices.  A
+reduction engine that rescans the graph on every step takes minutes on
+the first, and a cycle-rainbow check that lists cycles runs past any
+cycle cap there; girth with one BFS per vertex takes seconds on the
+second."""
 
 import random
+from fractions import Fraction
 
 from pathdeg import fixture, subdivide
 from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow, verify_proper
+from pathdeg.density import mad
 from pathdeg.graph import enumerate_cycles, girth
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
 from pathdeg.wcol import WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
@@ -19,6 +22,8 @@ from conftest import random_cubic
 def test_subdivided_cubic_20k():
     g = subdivide(random_cubic(3636, random.Random(20260808)), 3)
     assert g.n == 19998
+    # the whole graph: 2 (3/2)(k+1) / (1 + 3k/2) at k = 3
+    assert mad(g) == Fraction(24, 11)
 
     verdict = is_p_path_degenerate(g, 4)
     assert verdict.degenerate
