@@ -158,9 +158,7 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     of min(k, t-1) of the k colors of B; it repeats a color inside a block
     of the S-colored edges of B.  Conversely, two edges of one color in
     such a block lie on a common cycle (Whitney), which then fails.  So
-    each block with a cycle and k >= t colors costs C(k, t-1) linear
-    passes; with k < t, S is every color of B, and B fails exactly when
-    it has fewer colors than edges.
+    each block with a cycle costs C(k, min(k, t-1)) linear passes.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -171,12 +169,7 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     if subsets > MAX_COLOR_SUBSETS:
         raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")
     for block, palette in work:
-        if len(palette) < t:
-            # the one subset is the whole palette, whose edges are the block itself
-            if len(palette) < len(block):
-                return False
-            continue
-        for subset in combinations(palette, t - 1):
+        for subset in combinations(palette, min(len(palette), t - 1)):
             chosen = set(subset)
             for sub in blocks([(u, v) for u, v in block if at[u][v] in chosen]):
                 if len({at[u][v] for u, v in sub}) < len(sub):

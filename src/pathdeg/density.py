@@ -10,8 +10,9 @@ union of cycles, of density exactly 1.
 
 Otherwise an optimal subgraph of the 2-core takes each degree-2 chain
 whole or not at all, so only the branch vertices (core degree >= 3) are
-decided.  Dinkelbach (1967) iterations start at the core's density
-lambda = a/b, kept as integers.  Each round asks whether some subgraph
+decided; `graph.suppressed_multigraph` lists the chains between them.
+Dinkelbach (1967) iterations start at the core's density lambda = a/b,
+kept as integers.  Each round asks whether some subgraph
 has positive gain b*edges - a*vertices.  For a set S of branch vertices
 the best gain is the total weight w of the chains with both ends in S,
 minus a|S|: a chain of length L is worth b*L - a*(L-1), taken only when
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .graph import Graph, build_graph, connected_components, peel, walk_chain
+from .graph import Graph, build_graph, connected_components, peel, suppressed_multigraph
 
 
 class StateCapExceeded(RuntimeError):
@@ -119,22 +120,9 @@ def max_subgraph_density(g: Graph) -> Fraction:
     branch = [v for v in range(g.n) if core[v] and deg[v] >= 3]
     if not branch:
         return Fraction(1)
+    pos = {v: i for i, v in enumerate(branch)}
     # (i, j, L): a chain of length L between branch[i] and branch[j], i == j for a loop
-    pos = [-1] * g.n
-    for i, v in enumerate(branch):
-        pos[v] = i
-    links: list[tuple[int, int, int]] = []
-    walked = set()
-    for i, u in enumerate(branch):
-        for w in adj[u]:
-            j = pos[w]
-            if j < 0:
-                if w not in walked:
-                    chain = walk_chain(adj, u, w)
-                    walked.add(chain[-2])
-                    links.append((i, pos[chain[-1]], len(chain)))
-            elif i < j:
-                links.append((i, j, 1))
+    links = [(pos[u], pos[v], L) for u, v, L in suppressed_multigraph(adj, branch)]
     # arcs 4v, 4v+1: source->v and back; 4v+2, 4v+3: v->sink and back;
     # then 4k+2p, 4k+2p+1 join the ends of links[p] (a loop's pair never
     # carries flow).  Arcs into the source or out of the sink lie on no

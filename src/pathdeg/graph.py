@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs and the structural primitives used
 throughout the package: girth, subdivision, the degree-2 chain walk and
-the strict ears built on it, the 2-core peel, the block decomposition,
-and bounded enumeration of simple cycles.
+the strict ears and suppressed multigraph built on it, the 2-core peel,
+the block decomposition, and bounded enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
@@ -466,24 +466,25 @@ def enumerate_cycles_bruteforce(g: Graph) -> list[tuple[int, ...]]:
     return cycles
 
 
-def suppressed_multigraph(g: Graph):
-    """Smooth every degree-2 vertex away.
+def suppressed_multigraph(adj, branch: list[int]) -> list[tuple[int, int, int]]:
+    """Smooth away the degree-2 vertices between the vertices of `branch`.
 
-    Returns (branch_vertices, links) where links are (u, v, length) chains
-    between branch vertices (u == v marks a loop), plus one ("cycle",
-    length) entry per pure degree-2 cycle component.
+    adj maps each vertex to its neighbours, as for walk_chain, and `branch`
+    holds exactly the vertices reachable from it whose degree is not 2 (for
+    a whole graph, every vertex of degree != 2).  Returns one (u, v, length)
+    link per chain between branch vertices, u == v for a loop.  An edge
+    between two branch vertices is a link of length 1, recorded without a
+    walk; a cycle component through no branch vertex gives no link.
     """
-    branch = [v for v in range(g.n) if g.degree(v) != 2]
     links = []
-    used = set()
+    walked = set()
     for u in branch:
-        for w in sorted(g.adj[u]):
-            if (u, w) in used:
-                continue
-            path = [u, *walk_chain(g.adj, u, w)]
-            used.add((path[-1], path[-2]))
-            links.append((u, path[-1], len(path) - 1))
-    for comp in connected_components(g):
-        if comp and all(g.degree(v) == 2 for v in comp):
-            links.append(("cycle", "cycle", len(comp)))
-    return branch, links
+        for w in adj[u]:
+            if len(adj[w]) != 2:
+                if u < w:
+                    links.append((u, w, 1))
+            elif w not in walked:
+                chain = walk_chain(adj, u, w)
+                walked.add(chain[-2])
+                links.append((u, chain[-1], len(chain)))
+    return links

@@ -316,23 +316,34 @@ class TestBlocks:
         assert _block_sets(blocks(g.edges)) == expected
 
 
+def _suppress(g):
+    branch = [v for v in range(g.n) if g.degree(v) != 2]
+    return branch, suppressed_multigraph(g.adj, branch)
+
+
 class TestSuppression:
     def test_subdivision_smooths_back(self):
-        branch, links = suppressed_multigraph(subdivide(complete(4), 2))
+        branch, links = _suppress(subdivide(complete(4), 2))
         assert branch == [0, 1, 2, 3]
         assert len(links) == 6 and all(l == 3 for _, _, l in links)
 
     def test_pure_cycle_component(self):
-        branch, links = suppressed_multigraph(cycle(6))
-        assert branch == [] and links == [("cycle", "cycle", 6)]
+        assert _suppress(cycle(6)) == ([], [])
 
     def test_theta_parallel_chains(self):
-        _, links = suppressed_multigraph(theta(2, 2, 2))
+        _, links = _suppress(theta(2, 2, 2))
         assert len(links) == 3
         assert all({u, v} == {0, 1} and l == 2 for u, v, l in links)
+
+    def test_branch_edges_and_loops(self):
+        # K4 on 0..3, plus loops of length 3 and 4 at vertex 0
+        g = build_graph(9, [*complete(4).edges, (0, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0)])
+        _, links = _suppress(g)
+        assert sorted(links) == sorted([*((u, v, 1) for u, v in complete(4).edges), (0, 0, 3), (0, 0, 4)])
 
     def test_lengths_sum_to_edge_count(self, exhaustive_corpus, corpus):
         subdivided = [subdivide(g, k) for g in corpus.values() for k in (1, 2, 5)]
         for g in [*exhaustive_corpus, *subdivided]:
-            _, links = suppressed_multigraph(g)
-            assert sum(length for _, _, length in links) == g.m
+            _, links = _suppress(g)
+            cycles = [comp for comp in connected_components(g) if all(g.degree(v) == 2 for v in comp)]
+            assert sum(length for _, _, length in links) + sum(map(len, cycles)) == g.m
