@@ -33,7 +33,7 @@ from .reduction import (
     replay_certificate,
 )
 from .colorings import EdgeColoring, acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow, verify_proper
-from .wcol import LinearOrder, WcolBoundParams, weak_order, wcol_exact, wcol_target, wcol_under_order
+from .wcol import LinearOrder, WcolBoundParams, weak_order, wcol_exact, wcol_under_order
 from .bounds import (
     BoundResult,
     ExpansionParams,
@@ -86,7 +86,6 @@ __all__ = [
     "WcolBoundParams",
     "weak_order",
     "wcol_exact",
-    "wcol_target",
     "wcol_under_order",
     "BoundResult",
     "ExpansionParams",

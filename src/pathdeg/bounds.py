@@ -202,9 +202,12 @@ def lower_bound_poly(b: float, p: int, alpha: float) -> float:
 
 def wcol_girth_rule(r: int, q: int) -> float:
     """Weak r-coloring bound for graphs certified through half ear length
-    q: r+2+floor(log2((q-1)/(q-r))) when r < q < 2r; r+2 when q >= 2r."""
+    q: r+2+floor(log2((q-1)/(q-r))), which is r+2 when q >= 2r.  Computed
+    in integers, since floor(log2 y) = floor(log2 floor(y)) for y >= 1.
+    This is the one place the bound is written; `wcol.wreach_bound_ok`
+    applies it at every radius."""
     if q <= r:
         raise ValueError("q must exceed r")
-    if q >= 2 * r:
+    if q >= 2 * r:          # also covers r <= 0, where (q-1)/(q-r) < 1
         return float(r + 2)
-    return float(r + 2 + math.floor(math.log2((q - 1) / (q - r))))
+    return float(r + 1 + ((q - 1) // (q - r)).bit_length())

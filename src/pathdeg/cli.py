@@ -132,6 +132,20 @@ def _cmd_check(args, g: Graph, report: Report) -> None:
         report.ok = report.verification["witness_irreducible"]
 
 
+def _coloring_check(g: Graph, coloring, t: int, report: Report, proper: bool = False,
+                    palette: int | None = None) -> None:
+    """Verify a coloring of g and record the outcome: properness when
+    asked for, the cycle-rainbow property at threshold t, and the number
+    of colors against `palette` when one is given."""
+    checks = {"proper": verify_proper(g, coloring)} if proper else {}
+    checks["cycle_rainbow_threshold"] = t
+    checks["cycle_rainbow_ok"] = verify_cycle_rainbow(g, coloring, t=t)
+    if palette is not None:
+        checks["within_palette"] = coloring.num_colors <= palette
+    report.verification = checks
+    report.ok = all(v for k, v in checks.items() if k != "cycle_rainbow_threshold")
+
+
 def _cmd_color_arb(args, g: Graph, report: Report) -> None:
     coloring = arboricity_coloring(g, args.r)
     report.result = {
@@ -139,32 +153,17 @@ def _cmd_color_arb(args, g: Graph, report: Report) -> None:
         "colors_used": coloring.num_colors,
         "coloring": formats.serialize_coloring(coloring).splitlines(),
     }
-    ok = verify_cycle_rainbow(g, coloring, t=args.r + 1)
-    report.verification = {
-        "cycle_rainbow_threshold": args.r + 1,
-        "cycle_rainbow_ok": ok,
-        "within_palette": coloring.num_colors <= args.r + 1,
-    }
-    report.ok = ok and coloring.num_colors <= args.r + 1
+    _coloring_check(g, coloring, args.r + 1, report, palette=args.r + 1)
 
 
 def _cmd_color_acyclic(args, g: Graph, report: Report) -> None:
     coloring = acyclic_edge_coloring(g, args.r)
-    limit = max(g.max_degree(), args.r)
     report.result = {
         "r": args.r,
         "colors_used": coloring.num_colors,
         "coloring": formats.serialize_coloring(coloring).splitlines(),
     }
-    proper = verify_proper(g, coloring)
-    rainbow = verify_cycle_rainbow(g, coloring, t=args.r)
-    report.verification = {
-        "proper": proper,
-        "cycle_rainbow_threshold": args.r,
-        "cycle_rainbow_ok": rainbow,
-        "within_palette": coloring.num_colors <= limit,
-    }
-    report.ok = proper and rainbow and coloring.num_colors <= limit
+    _coloring_check(g, coloring, args.r, report, proper=True, palette=max(g.max_degree(), args.r))
 
 
 def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams) -> tuple[dict, int]:
@@ -238,12 +237,7 @@ def _cmd_verify(args, g: Graph, report: Report) -> None:
     if args.target == "certificate":
         _replay_check(g, formats.parse_certificate(text, p=args.p, exact_ears=args.exact_ears), report)
     elif args.target == "coloring":
-        coloring = formats.parse_coloring(text)
-        results = {"proper": verify_proper(g, coloring)} if args.proper else {}
-        results["cycle_rainbow_threshold"] = args.threshold
-        results["cycle_rainbow_ok"] = verify_cycle_rainbow(g, coloring, t=args.threshold)
-        report.verification = results
-        report.ok = results.get("proper", True) and results["cycle_rainbow_ok"]
+        _coloring_check(g, formats.parse_coloring(text), args.threshold, report, proper=args.proper)
     elif args.target == "order":
         order = formats.parse_order(text)
         if len(order) != g.n:

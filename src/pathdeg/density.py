@@ -122,7 +122,7 @@ def max_subgraph_density(g: Graph) -> Fraction:
         return Fraction(1)
     pos = {v: i for i, v in enumerate(branch)}
     # (i, j, L): a chain of length L between branch[i] and branch[j], i == j for a loop
-    links = [(pos[u], pos[v], L) for u, v, L in suppressed_multigraph(adj, branch)]
+    links = [(pos[c[0]], pos[c[-1]], len(c) - 1) for c in suppressed_multigraph(adj, branch)]
     # arcs 4v, 4v+1: source->v and back; 4v+2, 4v+3: v->sink and back;
     # then 4k+2p, 4k+2p+1 join the ends of links[p] (a loop's pair never
     # carries flow).  Arcs into the source or out of the sink lie on no
@@ -221,6 +221,10 @@ def _minor_families(g: Graph, r, cap: int):
         raise ValueError("r must be a half-integer")
     radius = -(-two_r.numerator // 2)  # ceil(r)
     n = g.n
+    # each vertex is left out or opens a new block, so the search tree has
+    # at least 2^(n+1) - 1 states; refuse before the n^2 distance table
+    if (1 << (n + 1)) - 1 > cap:
+        raise StateCapExceeded(f"more than {cap} partition states")
     # pairwise distance prune: vertices of one block sit within 2*radius
     dist = [dict() for _ in range(n)]
     for v in range(n):

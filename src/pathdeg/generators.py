@@ -8,7 +8,7 @@ regularity and girth when generated.
 
 from __future__ import annotations
 
-from .graph import Graph, build_graph, girth
+from .graph import Graph, build_graph, chain_graph, girth
 
 
 def cycle(n: int) -> Graph:
@@ -37,13 +37,7 @@ def theta(*lengths: int) -> Graph:
         raise ValueError("branch lengths must be >= 1")
     if sum(1 for l in lengths if l == 1) > 1:
         raise ValueError("at most one branch of length 1 (simple graph)")
-    edges = []
-    nxt = 2
-    for l in lengths:
-        chain = [0] + [nxt + j for j in range(l - 1)] + [1]
-        nxt += l - 1
-        edges.extend(zip(chain, chain[1:]))
-    return build_graph(nxt, edges)
+    return chain_graph(2, [(0, 1, l) for l in lengths])
 
 
 def _lcf(n: int, pattern: list[int]) -> Graph:
@@ -140,18 +134,11 @@ def uneven_k4_witness(p: int) -> Graph:
     if p < 3:
         raise ValueError("needs p >= 3")
     half = (p - 1) // 2
-    chain_lengths = {
-        (0, 1): p - 1,          # a-b
-        (0, 2): half,           # a-c
-        (1, 2): p - 1 - half,   # c-b completes the 2p-2 triangle
-        (0, 3): half,           # a-d
-        (1, 3): p - 1 - half,   # d-b
-        (2, 3): p,              # the one reducible chain
-    }
-    edges = []
-    nxt = 4
-    for (u, v), l in sorted(chain_lengths.items()):
-        chain = [u] + [nxt + j for j in range(l - 1)] + [v]
-        nxt += l - 1
-        edges.extend(zip(chain, chain[1:]))
-    return build_graph(nxt, edges)
+    return chain_graph(4, [
+        (0, 1, p - 1),          # a-b
+        (0, 2, half),           # a-c
+        (0, 3, half),           # a-d
+        (1, 2, p - 1 - half),   # c-b completes the 2p-2 triangle
+        (1, 3, p - 1 - half),   # d-b
+        (2, 3, p),              # the one reducible chain
+    ])

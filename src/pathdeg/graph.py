@@ -1,6 +1,7 @@
 """Immutable simple undirected graphs and the structural primitives used
-throughout the package: girth, subdivision, the degree-2 chain walk and
-the strict ears and suppressed multigraph built on it, the 2-core peel,
+throughout the package: girth, subdivision, the degree-2 chain walk,
+the chain decomposition built on it (suppressed_multigraph, whose chains
+also give the strict ears) and its inverse chain_graph, the 2-core peel,
 the block decomposition, and bounded enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
@@ -187,11 +188,20 @@ def subdivide(g: Graph, k: int) -> Graph:
         raise ValueError("subdivision count must be nonnegative")
     if k == 0:
         return g
+    return chain_graph(g.n, [(u, v, k + 1) for u, v in sorted(g.edges)])
+
+
+def chain_graph(n: int, links) -> Graph:
+    """Vertices 0..n-1 joined by one path of length L per (u, v, L) link.
+    The interior vertices are numbered n, n+1, ... in link order; the
+    inverse of suppressed_multigraph."""
     edges = []
-    for e, (u, v) in enumerate(sorted(g.edges)):
-        chain = [u] + [g.n + e * k + j for j in range(k)] + [v]
+    nxt = n
+    for u, v, length in links:
+        chain = [u, *range(nxt, nxt + length - 1), v]
+        nxt += length - 1
         edges.extend(zip(chain, chain[1:]))
-    return build_graph(g.n + k * g.m, edges)
+    return build_graph(nxt, edges)
 
 
 def walk_chain(adj, prev: int, cur: int) -> list[int]:
@@ -211,8 +221,9 @@ def walk_chain(adj, prev: int, cur: int) -> list[int]:
 def peel(adj, deg: list[int], alive: list[bool], stack: list[int]) -> None:
     """Delete the vertices on `stack`, then every vertex whose degree falls
     below 2 in turn, by clearing alive[v].  deg[v] is kept as the number of
-    live neighbours of each live vertex.  Started from every vertex of
-    degree < 2 of a whole graph, it leaves alive exactly the 2-core."""
+    live neighbours of each live vertex; deg and alive are lists or dicts
+    indexed by vertex.  Started from every vertex of degree < 2 of a whole
+    graph, it leaves alive exactly the 2-core."""
     while stack:
         v = stack.pop()
         if alive[v]:
@@ -224,31 +235,47 @@ def peel(adj, deg: list[int], alive: list[bool], stack: list[int]) -> None:
                         stack.append(w)
 
 
+def suppressed_multigraph(adj, branch: list[int]) -> list[list[int]]:
+    """Smooth away the degree-2 vertices between the vertices of `branch`.
+
+    adj maps each vertex to its neighbours, as for walk_chain, and `branch`
+    holds exactly the vertices reachable from it whose degree is not 2 (for
+    a whole graph, every vertex of degree != 2).  Returns each chain between
+    branch vertices once, as its vertex list [u, ..., v], u == v for a
+    loop; its length is one less than its size.  A chain with an interior
+    is walked from whichever of its ends comes first in `branch`.  An edge
+    between two branch vertices is the chain [u, v] with u < v, recorded
+    without a walk; a cycle component through no branch vertex gives no
+    chain.
+    """
+    chains = []
+    walked = set()
+    for u in branch:
+        for w in adj[u]:
+            if len(adj[w]) != 2:
+                if u < w:
+                    chains.append([u, w])
+            elif w not in walked:
+                chain = [u, *walk_chain(adj, u, w)]
+                walked.add(chain[-2])
+                chains.append(chain)
+    return chains
+
+
 def strict_ears(g: Graph) -> list[StrictEar]:
-    """All maximal strict ears whose endpoints have degree != 2.
+    """All maximal strict ears whose endpoints have degree != 2: the
+    chains of suppressed_multigraph with an interior and distinct ends.
+    The branch vertices are listed in increasing order, so each chain
+    starts at its smaller end.
 
     Each internal degree-2 vertex lies on at most one returned ear.  Pure
     degree-2 cycles and loops hanging at a single branch vertex contribute
     nothing here; fixed-length ear segments inside such cycles are the
     reduction engine's business.
     """
-    ears = []
-    seen = set()
-    for u in range(g.n):
-        if g.degree(u) == 2:
-            continue
-        for w in g.adj[u]:
-            if g.degree(w) != 2:
-                continue
-            path = [u, *walk_chain(g.adj, u, w)]
-            if path[-1] == u:
-                continue
-            key = tuple(path) if path[0] < path[-1] else tuple(reversed(path))
-            if key not in seen:
-                seen.add(key)
-                ears.append(StrictEar(vertices=key))
-    ears.sort(key=lambda e: e.vertices)
-    return ears
+    branch = [v for v in range(g.n) if g.degree(v) != 2]
+    ears = sorted(tuple(c) for c in suppressed_multigraph(g.adj, branch) if len(c) > 2 and c[0] != c[-1])
+    return [StrictEar(vertices=ear) for ear in ears]
 
 
 def blocks(edges) -> list[list[tuple[int, int]]]:
@@ -464,27 +491,3 @@ def enumerate_cycles_bruteforce(g: Graph) -> list[tuple[int, ...]]:
                 cycles.append(seq)
     cycles.sort()
     return cycles
-
-
-def suppressed_multigraph(adj, branch: list[int]) -> list[tuple[int, int, int]]:
-    """Smooth away the degree-2 vertices between the vertices of `branch`.
-
-    adj maps each vertex to its neighbours, as for walk_chain, and `branch`
-    holds exactly the vertices reachable from it whose degree is not 2 (for
-    a whole graph, every vertex of degree != 2).  Returns one (u, v, length)
-    link per chain between branch vertices, u == v for a loop.  An edge
-    between two branch vertices is a link of length 1, recorded without a
-    walk; a cycle component through no branch vertex gives no link.
-    """
-    links = []
-    walked = set()
-    for u in branch:
-        for w in adj[u]:
-            if len(adj[w]) != 2:
-                if u < w:
-                    links.append((u, w, 1))
-            elif w not in walked:
-                chain = walk_chain(adj, u, w)
-                walked.add(chain[-2])
-                links.append((u, chain[-1], len(chain)))
-    return links

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, induced_subgraph, from_edges, walk_chain
+from .graph import Graph, induced_subgraph, from_edges, peel, walk_chain
 
 ISOLATED = "I"
 LEAF = "L"
@@ -299,7 +299,8 @@ def _ear_interiors(adj: dict[int, set[int]], p: int) -> set[frozenset[int]]:
 
 def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
     """Ground truth by exploring all reduction orders: True iff SOME
-    sequence of p-reductions empties g.  Memoized on the alive vertex set;
+    sequence of p-reductions empties g.  Each state is peeled of its
+    vertices of degree <= 1 and then memoized on the vertex set left;
     raises SearchBudgetExceeded when the state budget runs out."""
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -308,6 +309,12 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
 
     def solve(alive: frozenset[int]) -> bool:
         nonlocal explored
+        # deleting vertices of degree <= 1 never hurts, so peel them first
+        adj = {v: {w for w in g.adj[v] if w in alive} for v in alive}
+        deg = {v: len(nb) for v, nb in adj.items()}
+        live = dict.fromkeys(adj, True)
+        peel(adj, deg, live, [v for v in adj if deg[v] < 2])
+        alive = frozenset(v for v in adj if live[v])
         if not alive:
             return True
         cached = memo.get(alive)
@@ -316,12 +323,8 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
         explored += 1
         if explored > budget:
             raise SearchBudgetExceeded(f"more than {budget} states explored")
-        adj = {v: {w for w in g.adj[v] if w in alive} for v in alive}
-        deletions: set[frozenset[int]] = set()
-        for v, nb in adj.items():
-            if len(nb) <= 1:
-                deletions.add(frozenset((v,)))
-        deletions |= _ear_interiors(adj, p)
+        adj = {v: adj[v] & alive for v in alive}
+        deletions = _ear_interiors(adj, p)
         result = any(solve(alive - d) for d in sorted(deletions, key=lambda s: (-len(s), sorted(s))))
         memo[alive] = result
         return result

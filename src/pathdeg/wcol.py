@@ -5,17 +5,17 @@ A vertex u is weakly x-reachable from v under an order when u <= v in the
 order and some u-v path of length at most x keeps all its internal
 vertices above u.  The order constructed by `weak_order` places each
 deleted ear's midpoint before everything known so far and the ear's
-interior after everything, which caps |WReach_x| by the target function
-`wcol_target` for all x up to r whenever the ear length is 2q with
-q >= r+1.
+interior after everything, which caps |WReach_x| by
+`bounds.wcol_girth_rule(x, q)` for all x up to r whenever the ear length
+is 2q with q >= r+1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
+from .bounds import wcol_girth_rule
 from .graph import Graph
 from .reduction import EAR, certificate_or_raise
 
@@ -118,35 +118,15 @@ def wcol_exact(g: Graph, r: int, max_n: int = 9) -> int:
     return best
 
 
-def wcol_target(x: int, params: WcolBoundParams) -> float:
-    """Bound on |WReach_x| along the constructed order: 1 at x=0, then
-    x+2 (+ log2((q-1)/(q-x)) when q < 2r)."""
-    if x < 0 or x > params.r:
-        raise ValueError("x must satisfy 0 <= x <= r")
-    if x == 0:
-        return 1.0
-    if params.q < 2 * params.r:
-        return x + 2 + math.log2((params.q - 1) / (params.q - x))
-    return float(x + 2)
-
-
 def wreach_bound_ok(size: int, x: int, params: WcolBoundParams) -> bool:
-    """Exact integer test of size <= wcol_target(x): the log2 comparison
-    is done by exponentiation, no floating point at the boundary."""
-    if x == 0:
-        return size <= 1
-    t = size - (x + 2)
-    if params.q >= 2 * params.r:
-        return t <= 0
-    if t <= 0:
-        return True
-    # size <= x+2+log2((q-1)/(q-x))  <=>  (q-x) * 2^t <= q-1
-    return (params.q - x) * (1 << t) <= params.q - 1
+    """Whether |WReach_x| = size is within its bound along the constructed
+    order: 1 at x = 0, `bounds.wcol_girth_rule(x, q)` above."""
+    return size <= (1 if x == 0 else wcol_girth_rule(x, params.q))
 
 
 def weak_order(g: Graph, params: WcolBoundParams) -> LinearOrder:
-    """Linear order certifying |WReach_x| <= wcol_target(x) for all
-    0 <= x <= r.  Requires g to be 2q-path degenerate; the certificate is
+    """Linear order certifying |WReach_x| <= wcol_girth_rule(x, q) for all
+    1 <= x <= r.  Requires g to be 2q-path degenerate; the certificate is
     computed internally with ears of length exactly 2q."""
     cert = certificate_or_raise(g, params.p, exact_ears=True)
     q = params.q

@@ -230,6 +230,12 @@ class TestWcolGirthRule:
             assert wcol_girth_rule(r, r + 1) == r + 2 + math.floor(math.log2(r))
             assert wcol_girth_rule(r, 2 * r) == r + 2
 
+    def test_no_log_term_when_q_at_least_2r(self):
+        # including r <= 0, where (q-1) // (q-r) is 0 or negative
+        for r in range(-3, 6):
+            for q in range(max(r + 1, 2 * r), 2 * r + 8):
+                assert wcol_girth_rule(r, q) == r + 2, (r, q)
+
 
 class TestBoundResult:
     def test_integer_threshold_is_floor_plus_one(self):

@@ -290,6 +290,16 @@ class TestVerifyCommand:
                       "--input", str(cfile), "--threshold", "2"])
         assert not report.ok
 
+    def test_improper_coloring_fails(self, tmp_path):
+        # a path has no cycle, so only properness can fail
+        cfile = tmp_path / "col.txt"
+        cfile.write_text("0 1 1\n1 2 1\n")
+        report = run(["verify", "coloring", "--graph", "g6:Bg", "--input", str(cfile),
+                      "--proper", "--threshold", "2"])
+        assert list(report.verification.items()) == [
+            ("proper", False), ("cycle_rainbow_threshold", 2), ("cycle_rainbow_ok", True)]
+        assert not report.ok
+
     def test_threshold_below_two_refused(self, tmp_path):
         cfile = tmp_path / "col.txt"
         cfile.write_text("0 1 1\n1 2 1\n0 2 1\n")
@@ -309,6 +319,12 @@ class TestDensityCommand:
         report = run(["density", "--graph", "fixture:k4", "--nabla", "1/2"])
         assert report.input["mad"] == "3/1"
         assert report.result["nabla"] == "3/2"
+
+    def test_nabla_refuses_large_graph_cleanly(self):
+        report = run(["density", "--nabla", "1/2", "--graph", "fixture:k4", "--subdivide", "170"])
+        assert report.input["order"] == 1024
+        assert not report.ok
+        assert report.result == {"error": "StateCapExceeded", "message": "more than 300000 partition states"}
 
 
 class TestDeterminismAndExit:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pathdeg import INFINITE, CycleCapExceeded, build_graph, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.graph import (
     blocks,
+    chain_graph,
     connected_components,
     count_cycles_via_cycle_space,
     enumerate_cycles,
@@ -144,6 +145,11 @@ class TestStrictEars:
         assert {frozenset(e.endpoints) for e in ears} == {
             frozenset(p) for p in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         }
+
+    def test_loops_are_not_ears(self):
+        # K4 on 0..3, plus a loop of length 3 at vertex 0
+        g = build_graph(6, [*complete(4).edges, (0, 4), (4, 5), (5, 0)])
+        assert strict_ears(g) == []
 
     def test_star_empty(self):
         assert strict_ears(build_graph(4, [(0, 1), (0, 2), (0, 3)])) == []
@@ -317,8 +323,9 @@ class TestBlocks:
 
 
 def _suppress(g):
+    """Branch vertices and (u, v, length) links of g's chains."""
     branch = [v for v in range(g.n) if g.degree(v) != 2]
-    return branch, suppressed_multigraph(g.adj, branch)
+    return branch, [(c[0], c[-1], len(c) - 1) for c in suppressed_multigraph(g.adj, branch)]
 
 
 class TestSuppression:
@@ -347,3 +354,31 @@ class TestSuppression:
             _, links = _suppress(g)
             cycles = [comp for comp in connected_components(g) if all(g.degree(v) == 2 for v in comp)]
             assert sum(length for _, _, length in links) + sum(map(len, cycles)) == g.m
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
+    def test_chains_partition_the_edges_off_cycle_components(self, g):
+        branch, _ = _suppress(g)
+        on_chains = []
+        for chain in suppressed_multigraph(g.adj, branch):
+            assert g.degree(chain[0]) != 2 and g.degree(chain[-1]) != 2
+            assert all(g.degree(v) == 2 for v in chain[1:-1])
+            assert all(g.has_edge(a, b) for a, b in zip(chain, chain[1:]))
+            # walked from the end that comes first in branch order
+            assert chain[0] <= chain[-1] if len(chain) > 2 else chain[0] < chain[-1]
+            on_chains += [tuple(sorted(e)) for e in zip(chain, chain[1:])]
+        cycles = {v for comp in connected_components(g) if all(g.degree(v) == 2 for v in comp) for v in comp}
+        assert sorted(on_chains) == sorted(e for e in g.edges if e[0] not in cycles)
+
+    def test_chain_graph_inverts_suppression(self):
+        links = [(0, 1, 1), (0, 2, 4), (0, 3, 2), (1, 2, 3), (1, 3, 1), (2, 3, 5), (1, 2, 2), (3, 3, 4)]
+        g = chain_graph(4, links)
+        assert g.n == 4 + sum(length - 1 for _, _, length in links)
+        assert g.m == sum(length for _, _, length in links)
+        branch, found = _suppress(g)
+        assert branch == [0, 1, 2, 3]
+        assert sorted((min(u, v), max(u, v), length) for u, v, length in found) == sorted(links)
+
+    def test_chain_graph_numbers_interiors_in_link_order(self):
+        g = chain_graph(2, [(0, 1, 3), (1, 0, 2)])
+        assert sorted(g.edges) == [(0, 2), (0, 4), (1, 3), (1, 4), (2, 3)]

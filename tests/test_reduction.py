@@ -1,6 +1,6 @@
 import pytest
 
-from pathdeg import build_graph, cycle, fixture, girth, path, subdivide, theta
+from pathdeg import build_graph, complete, cycle, fixture, girth, path, subdivide, theta
 from pathdeg.graph import induced_subgraph, suppressed_multigraph
 from pathdeg.reduction import (
     EAR,
@@ -116,8 +116,13 @@ class TestBacktracking:
         assert backtrack_degenerate(build_graph(0, []), 3) is True
 
     def test_budget_signal(self):
+        # one ear deletion leaves a path, which peels away without a state
+        assert backtrack_degenerate(cycle(12), 2, budget=1) is True
         with pytest.raises(SearchBudgetExceeded):
-            backtrack_degenerate(cycle(12), 2, budget=1)
+            backtrack_degenerate(subdivide(complete(4), 1), 2, budget=2)
+
+    def test_long_path_peels_in_one_state(self):
+        assert backtrack_degenerate(path(5000), 2, budget=1) is True
 
     def test_greedy_matches_oracle_on_randoms(self, rng):
         for _ in range(120):
@@ -211,7 +216,7 @@ class TestMinimalWitness:
         assert girth(g) >= 2 * p - 1
         w = minimal_irreducible_witness(g, p)
         branch = [v for v in range(w.n) if w.degree(v) != 2]
-        links = suppressed_multigraph(w.adj, branch)
+        links = [(c[0], c[-1], len(c) - 1) for c in suppressed_multigraph(w.adj, branch)]
         assert sum(length for _, _, length in links) == w.m  # no cycle component
         degs = {v: 0 for v in branch}
         seen_pairs = set()
@@ -271,8 +276,8 @@ class TestLemmaTightness:
         assert girth(g) == 2 * p - 2
         assert not is_p_path_degenerate(g, p).degenerate
         w = minimal_irreducible_witness(g, p)
-        links = suppressed_multigraph(w.adj, [v for v in range(w.n) if w.degree(v) != 2])
-        pairs = [tuple(sorted((a, b))) for a, b, _ in links]
+        chains = suppressed_multigraph(w.adj, [v for v in range(w.n) if w.degree(v) != 2])
+        pairs = [tuple(sorted((c[0], c[-1]))) for c in chains]
         assert len(pairs) != len(set(pairs))  # parallel chains: not simple
 
 

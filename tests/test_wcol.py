@@ -1,7 +1,8 @@
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
 from pathdeg.bounds import wcol_girth_rule
@@ -10,7 +11,6 @@ from pathdeg.wcol import (
     LinearOrder,
     WcolBoundParams,
     wcol_exact,
-    wcol_target,
     wcol_under_order,
     weak_order,
     wreach_all,
@@ -86,19 +86,34 @@ class TestWcolExact:
             assert exact <= wcol_under_order(g, LinearOrder.from_sequence(seq), 2)
 
 
+def _real_target(x, params):
+    """The real-valued bound on |WReach_x| along the constructed order: 1
+    at x = 0, then x+2, plus log2((q-1)/(q-x)) when q < 2r."""
+    if x == 0:
+        return 1.0
+    if params.q < 2 * params.r:
+        return x + 2 + math.log2((params.q - 1) / (params.q - x))
+    return float(x + 2)
+
+
+def _largest_ok(x, params):
+    return max(size for size in range(64) if wreach_bound_ok(size, x, params))
+
+
 class TestTarget:
     def test_base(self):
-        assert wcol_target(0, WcolBoundParams(3, 4)) == 1
+        assert wreach_bound_ok(1, 0, WcolBoundParams(3, 4))
+        assert not wreach_bound_ok(2, 0, WcolBoundParams(3, 4))
 
     def test_log_branch(self):
-        assert wcol_target(3, WcolBoundParams(3, 4)) == pytest.approx(5 + math.log2(3))
+        assert wcol_girth_rule(3, 4) == math.floor(_real_target(3, WcolBoundParams(3, 4))) == 6
 
     def test_linear_branch(self):
-        assert wcol_target(2, WcolBoundParams(2, 4)) == 4
+        assert wcol_girth_rule(2, 4) == _real_target(2, WcolBoundParams(2, 4)) == 4
 
-    def test_x_above_r_rejected(self):
+    def test_radius_at_half_ear_length_rejected(self):
         with pytest.raises(ValueError):
-            wcol_target(3, WcolBoundParams(2, 4))
+            wreach_bound_ok(5, 4, WcolBoundParams(2, 4))
 
     def test_params_validate(self):
         with pytest.raises(ValueError):
@@ -107,15 +122,14 @@ class TestTarget:
     @pytest.mark.parametrize("r,q", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6)])
     def test_unit_increments(self, r, q):
         params = WcolBoundParams(r, q)
-        for x in range(1, r):
-            assert wcol_target(x + 1, params) >= wcol_target(x, params) + 1
-        assert wcol_target(1, params) >= wcol_target(0, params) + 1
+        for x in range(r):
+            assert _largest_ok(x + 1, params) >= _largest_ok(x, params) + 1
 
     def test_integer_comparator_matches_float(self):
         for r, q in [(2, 3), (3, 4), (2, 4), (3, 6), (4, 5)]:
             params = WcolBoundParams(r, q)
             for x in range(r + 1):
-                target = wcol_target(x, params)
+                target = _real_target(x, params)
                 for size in range(1, 12):
                     # keep clear of float round-off at exact boundaries
                     if abs(size - target) > 1e-9:
@@ -135,7 +149,7 @@ class TestTarget:
             for q in range(r + 1, 4 * r + 1):
                 params = WcolBoundParams(r, q)
                 rule = wcol_girth_rule(r, q)
-                assert rule == math.floor(wcol_target(r, params)), (r, q)
+                assert rule == math.floor(_real_target(r, params)), (r, q)
                 for size in range(int(rule) + 3):
                     assert wreach_bound_ok(size, r, params) == (size <= rule), (r, q, size)
 
@@ -146,7 +160,30 @@ def _assert_good_order(g, order, params):
         assert wreach_bound_ok(worst, x, params), (x, worst)
 
 
+@st.composite
+def _subdivided_instances(draw):
+    """(params, graph): a random graph on 3 to 6 vertices with pendant
+    trees hung on it, every edge subdivided 2q-1 times, relabeled by a
+    random permutation.  q runs from r+1 to 2r+1, so q < 2r is included."""
+    r = draw(st.integers(1, 4))
+    params = WcolBoundParams(r, draw(st.integers(r + 1, 2 * r + 1)))
+    n = draw(st.integers(3, 6))
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=len(pairs))))
+    total = n + draw(st.integers(0, 4))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, total)]
+    g = subdivide(build_graph(total, edges), params.p - 1)
+    perm = draw(st.permutations(range(g.n)))
+    return params, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 class TestWeakOrder:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_subdivided_instances())
+    def test_bound_holds_on_random_subdivisions(self, instance):
+        params, g = instance
+        _assert_good_order(g, weak_order(g, params), params)
+
     def test_path_graphs(self):
         for n in (2, 5, 12):
             g = path(n)
@@ -260,7 +297,7 @@ class TestCompositionBound:
         params = WcolBoundParams(r=2, q=3)
         order = weak_order(g, params)
         assert wcol_exact(g, 2) <= wcol_under_order(g, order, 2)
-        assert wcol_exact(g, 2) <= math.ceil(wcol_target(2, params))
+        assert wcol_exact(g, 2) <= wcol_girth_rule(2, params.q)
 
     def test_exact_meets_target_on_cycles(self):
         # the last vertex of any order sees both cycle neighbors, so
@@ -268,5 +305,5 @@ class TestCompositionBound:
         params = WcolBoundParams(r=1, q=2)
         for n in (5, 6, 7):
             g = cycle(n)
-            assert wcol_exact(g, 1) == 3 == math.ceil(wcol_target(1, params))
+            assert wcol_exact(g, 1) == 3 == wcol_girth_rule(1, params.q)
             _assert_good_order(g, weak_order(g, params), params)
