@@ -283,33 +283,29 @@ def is_p_path_degenerate(g: Graph, p: int, exact_ears: bool = False) -> Degenera
     )
 
 
-def _ear_interiors(adj: dict[int, set[int]], p: int) -> set[frozenset[int]]:
-    """Interior sets of every strict ear of length >= p (all sub-ear
-    lengths), for the exhaustive oracle."""
-    out: set[frozenset[int]] = set()
-    for a0 in adj:
-        for a1 in adj[a0]:
-            path = [a0, *walk_chain(adj, a0, a1)]
-            if path[-1] == a0:              # a cycle back to a0: not an ear
-                path.pop()
-            for end in range(p, len(path)):
-                out.add(frozenset(path[1:end]))
-    return out
-
-
 def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
     """Ground truth by exploring all reduction orders: True iff SOME
-    sequence of p-reductions empties g.  Each state is peeled of its
-    vertices of degree <= 1 and then memoized on the vertex set left;
-    raises SearchBudgetExceeded when the state budget runs out."""
+    sequence of p-reductions empties g.  Raises SearchBudgetExceeded when
+    more than `budget` states have been seen.
+
+    Deleting a vertex of degree <= 1 never hurts, so a state is a 2-core.
+    In a 2-core every strict ear's interior lies inside one maximal
+    degree-2 chain, and deleting it and peeling again removes the rest of
+    the chain: every ear of a chain leads to the same next 2-core.  A
+    chain holds an ear of length >= p exactly when it is an open chain of
+    length >= p, or a loop at a branch vertex or a cycle component of
+    length >= p+1; for `_chain`'s (s, closed) that is
+    len(s) - 1 >= p + (s[0] == s[-1]).  So a move deletes a whole chain,
+    and the depth-first search keeps an explicit stack of (state, chain
+    interior) moves and a set of the states seen: O(states x n) memory.
+    """
     if p < 2:
         raise ValueError("p must be >= 2")
-    memo: dict[frozenset[int], bool] = {}
-    explored = 0
-
-    def solve(alive: frozenset[int]) -> bool:
-        nonlocal explored
-        # deleting vertices of degree <= 1 never hurts, so peel them first
+    seen: set[frozenset[int]] = set()
+    stack = [(frozenset(range(g.n)), ())]
+    while stack:
+        parent, interior = stack.pop()
+        alive = parent.difference(interior)
         adj = {v: {w for w in g.adj[v] if w in alive} for v in alive}
         deg = {v: len(nb) for v, nb in adj.items()}
         live = dict.fromkeys(adj, True)
@@ -317,19 +313,20 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
         alive = frozenset(v for v in adj if live[v])
         if not alive:
             return True
-        cached = memo.get(alive)
-        if cached is not None:
-            return cached
-        explored += 1
-        if explored > budget:
+        if alive in seen:
+            continue
+        seen.add(alive)
+        if len(seen) > budget:
             raise SearchBudgetExceeded(f"more than {budget} states explored")
         adj = {v: adj[v] & alive for v in alive}
-        deletions = _ear_interiors(adj, p)
-        result = any(solve(alive - d) for d in sorted(deletions, key=lambda s: (-len(s), sorted(s))))
-        memo[alive] = result
-        return result
-
-    return solve(frozenset(range(g.n)))
+        walked: set[int] = set()
+        for v in alive:
+            if len(adj[v]) == 2 and v not in walked:
+                s, closed = _chain(adj, v)
+                walked.update(s)
+                if len(s) - 1 >= p + (s[0] == s[-1]):
+                    stack.append((alive, s if closed else s[1:-1]))
+    return False
 
 
 def replay_certificate(g: Graph, cert: ReductionSequence) -> None:

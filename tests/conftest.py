@@ -57,6 +57,13 @@ def exhaustive_corpus():
     return builtin_corpus()
 
 
+def triangle_row(k: int):
+    """k triangles in a row, triangle i on (2i, 2i+1, 2i+2): an input that
+    needs about k successive ear deletions at p = 2."""
+    return build_graph(2 * k + 1, [e for i in range(k) for e in
+                                   ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
+
+
 def random_graph(rng: random.Random, n: int, prob: float):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob]
     return build_graph(n, edges)

@@ -8,7 +8,7 @@ from pathdeg.cli import Report, main, run
 from pathdeg.formats import parse_order, serialize_coloring, serialize_edge_list, serialize_order
 from pathdeg.wcol import WcolBoundParams, weak_order, wcol_under_order, wreach_all, wreach_bound_ok
 
-from conftest import random_cubic
+from conftest import random_cubic, triangle_row
 
 
 class TestLoadAndAnalyze:
@@ -86,6 +86,14 @@ class TestCheck:
         oracle = run(["check", "-p", "4", "--oracle", "--graph", "g6:" + "Dhc"])
         assert oracle.result["engine"] == "backtracking"
         assert report.result["degenerate"] == oracle.result["degenerate"]
+
+    def test_oracle_on_long_triangle_row(self, tmp_path):
+        # needs 600 successive ear deletions, deeper than the interpreter's recursion limit
+        f = tmp_path / "row.txt"
+        f.write_text(serialize_edge_list(triangle_row(600)))
+        report = run(["check", "-p", "2", "--oracle", "--graph", str(f)])
+        assert report.ok
+        assert report.result == {"p": 2, "degenerate": True, "engine": "backtracking"}
 
     def test_exact_ears_flag(self):
         report = run(["check", "-p", "4", "--exact-ears",

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathdeg import build_graph, complete, cycle
 from pathdeg.enumeration import (
@@ -9,6 +12,35 @@ from pathdeg.enumeration import (
     connected_graphs,
 )
 from pathdeg.graph import is_connected
+
+
+@st.composite
+def equal_size_pairs(draw):
+    """Two graphs of equal order and size on at most 8 vertices: the second
+    is a relabeling of the first after up to two edge swaps of one kind,
+    either moving an edge or exchanging the ends of two (degrees kept)."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = {e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep}
+    other = set(edges)
+    kind = draw(st.sampled_from(["relabel", "move", "exchange"]))
+    for _ in range(draw(st.integers(1, 2)) if kind != "relabel" else 0):
+        if kind == "move":
+            swaps = [(e, f) for e in sorted(other) for f in pairs if f not in other]
+        else:
+            swaps = [((a, b), (c, d)) for (a, b), (c, d) in combinations(sorted(other), 2)
+                     if len({a, b, c, d}) == 4
+                     and (min(a, c), max(a, c)) not in other and (min(b, d), max(b, d)) not in other]
+        if not swaps:
+            break
+        e, f = draw(st.sampled_from(swaps))
+        if kind == "move":
+            other = (other - {e}) | {f}
+        else:
+            (a, b), (c, d) = e, f
+            other = (other - {e, f}) | {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, sorted(edges)), build_graph(n, [(perm[u], perm[v]) for u, v in other])
 
 
 class TestCanonicalKey:
@@ -36,6 +68,16 @@ class TestCanonicalKey:
 
     def test_order_matters(self):
         assert canonical_key(build_graph(3, [])) != canonical_key(build_graph(4, []))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(equal_size_pairs())
+    def test_keys_agree_with_networkx_isomorphism(self, pair):
+        nx = pytest.importorskip("networkx")
+        g, h = pair
+        as_nx = [nx.Graph(list(x.edges)) for x in (g, h)]
+        for x, nxg in zip((g, h), as_nx):
+            nxg.add_nodes_from(range(x.n))
+        assert (canonical_key(g) == canonical_key(h)) == nx.is_isomorphic(*as_nx)
 
 
 class TestGeneration:

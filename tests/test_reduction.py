@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pathdeg
 from pathdeg import build_graph, complete, cycle, fixture, girth, path, subdivide, theta
 from pathdeg.graph import induced_subgraph, suppressed_multigraph
 from pathdeg.reduction import (
@@ -21,7 +28,24 @@ from pathdeg.reduction import (
     replay_certificate,
 )
 
-from conftest import random_graph
+import ear_oracle
+from conftest import random_graph, trees_and_subdivisions
+
+
+def run_capped(code: str) -> str:
+    """Run `code` in a child interpreter that caps its own address space at
+    1 GiB, so a runaway search fails there instead of exhausting memory."""
+    pytest.importorskip("resource")
+    paths = [str(Path(pathdeg.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    prelude = ("import resource\n"
+               "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+               "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 class TestFindStep:
@@ -130,6 +154,37 @@ class TestBacktracking:
             for p in (2, 3, 5):
                 assert is_p_path_degenerate(g, p).degenerate == backtrack_degenerate(g, p)
 
+    def test_long_triangle_row_under_memory_cap(self):
+        # needs 600 successive ear deletions, deeper than the interpreter's recursion limit
+        out = run_capped("from conftest import triangle_row\n"
+                         "from pathdeg.reduction import backtrack_degenerate\n"
+                         "print(backtrack_degenerate(triangle_row(600), 2))\n")
+        assert out.strip() == "True"
+
+    def test_long_cycle_is_one_state_under_memory_cap(self):
+        # the whole cycle is one chain, so one state; one move per sub-ear would cost cubic memory
+        out = run_capped("from pathdeg import cycle\n"
+                         "from pathdeg.reduction import backtrack_degenerate\n"
+                         "print(backtrack_degenerate(cycle(400), 2, budget=1))\n")
+        assert out.strip() == "True"
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_matches_ear_oracle_and_greedy_on_corpus(self, exhaustive_corpus, p):
+        for g in exhaustive_corpus:
+            verdict = backtrack_degenerate(g, p)
+            assert verdict == ear_oracle.backtrack_degenerate(g, p)
+            assert verdict == is_p_path_degenerate(g, p).degenerate
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=30), st.integers(2, 6))
+    def test_matches_ear_oracle_up_to_30_vertices(self, g, p):
+        assert backtrack_degenerate(g, p) == ear_oracle.backtrack_degenerate(g, p)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=40), st.integers(2, 6))
+    def test_greedy_matches_oracle_up_to_40_vertices(self, g, p):
+        assert is_p_path_degenerate(g, p).degenerate == backtrack_degenerate(g, p)
+
 
 class TestHeredity:
     def test_subgraphs_of_degenerate_stay_degenerate(self, rng):
@@ -173,6 +228,15 @@ class TestCertificates:
                 verdict = is_p_path_degenerate(g, p)
                 if verdict.degenerate:
                     replay_certificate(g, verdict.certificate)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=40), st.integers(2, 6), st.booleans())
+    def test_certificates_replay_and_witnesses_are_irreducible(self, g, p, exact):
+        verdict = is_p_path_degenerate(g, p, exact_ears=exact)
+        if verdict.degenerate:
+            replay_certificate(g, verdict.certificate)
+        else:
+            assert find_p_reduction(verdict.witness, p) is None
 
 
 class TestMinimalWitness:
