@@ -11,7 +11,7 @@ Run:  python demos/weak_order_demo.py
 
 from pathdeg import cycle, fixture, subdivide, wcol_exact, wcol_under_order, weak_order
 from pathdeg.bounds import wcol_girth_rule
-from pathdeg.wcol import WcolBoundParams, wreach_all, wreach_bound_ok
+from pathdeg.wcol import WcolBoundParams, wreach_bound_ok
 
 
 def certified_orders():
@@ -24,12 +24,9 @@ def certified_orders():
     ]
     for name, g, params in cases:
         order = weak_order(g, params)
-        profile = []
-        for x in range(params.r + 1):
-            worst = max(len(s) for s in wreach_all(g, order, x))
-            assert wreach_bound_ok(worst, x, params)
-            profile.append(worst)
-        achieved = wcol_under_order(g, order, params.r)
+        profile = [wcol_under_order(g, order, x) for x in range(params.r + 1)]
+        assert all(wreach_bound_ok(worst, x, params) for x, worst in enumerate(profile))
+        achieved = profile[-1]
         print(f"  {name} (n={g.n}), r={params.r}, q={params.q}: "
               f"max |WReach_x| = {profile}, wcol under order = {achieved} "
               f"<= {int(wcol_girth_rule(params.r, params.q))}")

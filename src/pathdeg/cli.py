@@ -33,7 +33,7 @@ from .reduction import (
     is_p_path_degenerate,
     replay_certificate,
 )
-from .wcol import LinearOrder, WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
+from .wcol import LinearOrder, WcolBoundParams, wcol_under_order, weak_order, wreach_bound_ok
 
 
 @dataclass
@@ -166,31 +166,28 @@ def _cmd_color_acyclic(args, g: Graph, report: Report) -> None:
     _coloring_check(g, coloring, args.r, report, proper=True, palette=max(g.max_degree(), args.r))
 
 
-def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams) -> tuple[dict, int]:
-    """Check max |WReach_x| against its bound for x = 0..r.  Returns the
-    verification section and max |WReach_r|, which is the weak
-    r-coloring number under the order."""
-    ok = True
+def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams, report: Report) -> int:
+    """Check max |WReach_x| against its bound for x = 0..r and record the
+    outcome.  Returns max |WReach_r|, the weak r-coloring number under
+    the order."""
     per_x = {}
     for x in range(params.r + 1):
-        worst = max((len(s) for s in wreach_all(g, order, x)), default=0)
-        good = wreach_bound_ok(worst, x, params)
-        per_x[str(x)] = {"max_wreach": worst, "ok": good}
-        ok = ok and good
-    return {"bound_per_radius": per_x, "all_within_bound": ok}, worst
+        worst = wcol_under_order(g, order, x)
+        per_x[str(x)] = {"max_wreach": worst, "ok": wreach_bound_ok(worst, x, params)}
+    report.ok = all(check["ok"] for check in per_x.values())
+    report.verification = {"bound_per_radius": per_x, "all_within_bound": report.ok}
+    return worst
 
 
 def _cmd_wcol_order(args, g: Graph, report: Report) -> None:
     params = WcolBoundParams(r=args.r, q=args.q)
     order = weak_order(g, params)
-    report.verification, wcol = _wreach_check(g, order, params)
     report.result = {
         "r": args.r,
         "q": args.q,
         "order": formats.serialize_order(order).strip(),
-        "wcol_under_order": wcol,
+        "wcol_under_order": _wreach_check(g, order, params, report),
     }
-    report.ok = report.verification["all_within_bound"]
 
 
 def _cmd_bounds(args, _g: None, report: Report) -> None:
@@ -244,8 +241,7 @@ def _cmd_verify(args, g: Graph, report: Report) -> None:
             report.verification = {"order_matches_graph": False}
             report.ok = False
             return
-        report.verification, _ = _wreach_check(g, order, WcolBoundParams(r=args.r, q=args.q))
-        report.ok = report.verification["all_within_bound"]
+        _wreach_check(g, order, WcolBoundParams(r=args.r, q=args.q), report)
 
 
 def _cmd_density(args, g: Graph, report: Report) -> None:

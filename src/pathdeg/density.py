@@ -219,6 +219,8 @@ def _minor_families(g: Graph, r, cap: int):
     two_r = Fraction(r) * 2
     if two_r.denominator != 1:
         raise ValueError("r must be a half-integer")
+    if two_r < 0:
+        raise ValueError("r must be a nonnegative half-integer")
     radius = -(-two_r.numerator // 2)  # ceil(r)
     n = g.n
     # each vertex is left out or opens a new block, so the search tree has
@@ -226,9 +228,7 @@ def _minor_families(g: Graph, r, cap: int):
     if (1 << (n + 1)) - 1 > cap:
         raise StateCapExceeded(f"more than {cap} partition states")
     # pairwise distance prune: vertices of one block sit within 2*radius
-    dist = [dict() for _ in range(n)]
-    for v in range(n):
-        dist[v] = _distances_from(g, v, tuple(range(n)))
+    dist = [_distances_from(g, v, tuple(range(n))) for v in range(n)]
     states = 0
 
     def recurse(v: int, blocks: list[list[int]]):
@@ -258,48 +258,32 @@ def _minor_families(g: Graph, r, cap: int):
     yield from recurse(0, [])
 
 
-def _minor_edges(g: Graph, blocks, roots_dists, length_bound: Fraction):
-    """Minor edges among blocks: some g-edge (x,y) across blocks i,j with
+def _minor_edge_sets(g: Graph, r, cap: int):
+    """Yield (k, edges) for every nonempty family of k blocks and every
+    choice of one root per block: the minor edges, as pairs of block
+    indices, that some g-edge (x,y) across blocks i,j allows by
     d_i(root_i, x) + 1 + d_j(y, root_j) <= 2r+1."""
-    where = {}
-    for i, blk in enumerate(blocks):
-        for v in blk:
-            where[v] = i
-    edges = set()
-    for x, y in g.edges:
-        i, j = where.get(x), where.get(y)
-        if i is None or j is None or i == j:
-            continue
-        di = roots_dists[i][1][x]
-        dj = roots_dists[j][1][y]
-        if di + 1 + dj <= length_bound:
-            edges.add((min(i, j), max(i, j)))
-    return edges
-
-
-def _root_combinations(rooted, limit: int):
-    count = prod(len(choices) for choices in rooted)
-    if count > limit:
-        raise StateCapExceeded(f"{count} root combinations exceed cap {limit}")
-    return product(*rooted)
-
-
-def nabla_r_bruteforce(g: Graph, r, cap: int = 300_000) -> Fraction:
-    """Maximum density over shallow minors at depth r (r a half-integer);
-    parallel edges arising from contraction are collapsed."""
-    if g.n == 0:
-        raise ValueError("empty graph")
     length_bound = Fraction(r) * 2 + 1
-    best = Fraction(0)
     for blocks, rooted in _minor_families(g, r, cap):
         if not blocks:
             continue
-        for combo in _root_combinations(rooted, cap):
-            edges = _minor_edges(g, blocks, combo, length_bound)
-            d = Fraction(len(edges), len(blocks))
-            if d > best:
-                best = d
-    return best
+        count = prod(len(choices) for choices in rooted)
+        if count > cap:
+            raise StateCapExceeded(f"{count} root combinations exceed cap {cap}")
+        where = {v: i for i, blk in enumerate(blocks) for v in blk}
+        cross = [(where[x], where[y], x, y) for x, y in g.edges
+                 if x in where and y in where and where[x] != where[y]]
+        for combo in product(*rooted):
+            yield len(blocks), {(min(i, j), max(i, j)) for i, j, x, y in cross
+                                if combo[i][1][x] + 1 + combo[j][1][y] <= length_bound}
+
+
+def nabla_r_bruteforce(g: Graph, r, cap: int = 300_000) -> Fraction:
+    """Maximum density over shallow minors at depth r (r a nonnegative
+    half-integer); parallel edges arising from contraction are collapsed."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    return max((Fraction(len(edges), k) for k, edges in _minor_edge_sets(g, r, cap)), default=Fraction(0))
 
 
 def shallow_minors(g: Graph, r, cap: int = 300_000) -> list[Graph]:
@@ -307,18 +291,10 @@ def shallow_minors(g: Graph, r, cap: int = 300_000) -> list[Graph]:
     graphs (every subset of allowed minor edges, then deduplicated)."""
     from .enumeration import canonical_key
 
-    length_bound = Fraction(r) * 2 + 1
     seen = {}
-    for blocks, rooted in _minor_families(g, r, cap):
-        if not blocks:
-            continue
-        for combo in _root_combinations(rooted, cap):
-            edges = sorted(_minor_edges(g, blocks, combo, length_bound))
-            k = len(blocks)
-            for mask in range(1 << len(edges)):
-                sub = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-                h = build_graph(k, sub)
-                key = canonical_key(h)
-                if key not in seen:
-                    seen[key] = h
+    for k, edges in _minor_edge_sets(g, r, cap):
+        edges = sorted(edges)
+        for mask in range(1 << len(edges)):
+            h = build_graph(k, [e for i, e in enumerate(edges) if mask >> i & 1])
+            seen.setdefault(canonical_key(h), h)
     return list(seen.values())

@@ -21,6 +21,15 @@ class FormatError(ValueError):
     pass
 
 
+def _rows(text: str):
+    """Yield (line number, raw line, fields) for each line of `text` that
+    keeps a field once its `#` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, raw, parts
+
+
 def parse_edge_list(text: str) -> Graph:
     """Lines of `u v`, `#` comments; an optional leading `n <count>` line
     declares the vertex count (otherwise max id + 1 is used), at most
@@ -28,11 +37,7 @@ def parse_edge_list(text: str) -> Graph:
     declared_n = None
     edges = []
     max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _rows(text):
         if parts[0] == "n" and declared_n is None and not edges:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise FormatError(f"line {lineno}: malformed vertex-count line {raw!r}")
@@ -136,12 +141,8 @@ def serialize_certificate(cert: ReductionSequence) -> str:
 
 def parse_certificate(text: str, p: int, exact_ears: bool = False) -> ReductionSequence:
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
+    for lineno, raw, parts in _rows(text):
+        kind, *args = parts
         try:
             vertices = tuple(int(a) for a in args)
         except ValueError:
@@ -167,11 +168,7 @@ def parse_coloring(text: str):
     from .colorings import EdgeColoring
 
     colors = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in _rows(text):
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected `u v color`, got {raw!r}")
         try:

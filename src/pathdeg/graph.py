@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 INFINITE = math.inf
 
@@ -371,93 +371,30 @@ def count_cycles_via_cycle_space(g: Graph) -> int:
     dim = g.m - g.n + len(comps)
     if dim > 20:
         raise ValueError(f"cycle space dimension {dim} too large")
-    if dim == 0:
-        return 0
-    # fundamental cycles from a spanning forest
-    parent: dict[int, tuple[int, int] | None] = {}
-    depth: dict[int, int] = {}
-    tree_edges = set()
+    edges = sorted(g.edges)
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    # to_root[v]: the edges of v's path to its component's root in a DFS forest
+    to_root = [0] * g.n
+    seen = [False] * g.n
     for comp in comps:
-        root = comp[0]
-        parent[root] = None
-        depth[root] = 0
-        stack = [root]
+        seen[comp[0]] = True
+        stack = [comp[0]]
         while stack:
             u = stack.pop()
-            for w in sorted(g.adj[u]):
-                if w not in parent:
-                    parent[w] = (u, len(tree_edges))
-                    depth[w] = depth[u] + 1
-                    tree_edges.add(normalize_edge(u, w))
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    to_root[w] = to_root[u] ^ bit[normalize_edge(u, w)]
                     stack.append(w)
-    edge_index = {e: i for i, e in enumerate(sorted(g.edges))}
-    basis = []
-    for e in sorted(g.edges):
-        if e in tree_edges:
-            continue
-        u, v = e
-        mask = 1 << edge_index[e]
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            pu = parent[u]
-            assert pu is not None
-            mask ^= 1 << edge_index[normalize_edge(u, pu[0])]
-            u = pu[0]
-        basis.append(mask)
-    index_edge = {i: e for e, i in edge_index.items()}
+    # the fundamental cycle of each non-tree edge; a tree edge's comes out empty
+    basis = [c for c in (bit[e] ^ to_root[e[0]] ^ to_root[e[1]] for e in edges) if c]
+    # Gray-code order: the i-th element differs from the last by one basis cycle
     count = 0
-    for combo in range(1, 1 << len(basis)):
-        mask = 0
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                mask ^= basis[i]
-            c >>= 1
-            i += 1
-        if mask == 0:
-            continue
-        deg: dict[int, int] = {}
-        bit = mask
-        i = 0
-        ok = True
-        verts = set()
-        while bit:
-            if bit & 1:
-                u, v = index_edge[i]
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-                verts.add(u)
-                verts.add(v)
-            bit >>= 1
-            i += 1
-        ok = all(d == 2 for d in deg.values())
-        if ok:
-            # connectivity of the edge set
-            start = next(iter(verts))
-            seen = {start}
-            stack = [start]
-            sel = set()
-            bit = mask
-            i = 0
-            while bit:
-                if bit & 1:
-                    sel.add(index_edge[i])
-                bit >>= 1
-                i += 1
-            incident: dict[int, list[int]] = {}
-            for u, v in sel:
-                incident.setdefault(u, []).append(v)
-                incident.setdefault(v, []).append(u)
-            while stack:
-                u = stack.pop()
-                for w in incident[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            ok = seen == verts
-        if ok:
+    mask = 0
+    for i in range(1, 1 << dim):
+        mask ^= basis[(i & -i).bit_length() - 1]
+        h = from_edges([e for e in edges if bit[e] & mask])
+        if all(d == 2 for d in h.degrees()) and is_connected(h):
             count += 1
     return count
 
@@ -466,28 +403,11 @@ def enumerate_cycles_bruteforce(g: Graph) -> list[tuple[int, ...]]:
     """Oracle: find cycles by checking every permutation of every vertex
     subset.  Exponential; only for cross-checking on tiny graphs."""
     cycles = []
-    verts = list(range(g.n))
-
-    def subsets(items, k_min):
-        n = len(items)
-        for mask in range(1 << n):
-            sub = [items[i] for i in range(n) if mask >> i & 1]
-            if len(sub) >= k_min:
-                yield sub
-
-    for sub in subsets(verts, 3):
-        first = sub[0]
-        rest = sub[1:]
-        for perm in permutations(rest):
-            if perm[0] > perm[-1]:
-                continue
-            seq = (first,) + perm
-            ok = True
-            for a, b in zip(seq, seq[1:]):
-                if b not in g.adj[a]:
-                    ok = False
-                    break
-            if ok and seq[0] in g.adj[seq[-1]]:
-                cycles.append(seq)
+    for k in range(3, g.n + 1):
+        for first, *rest in combinations(range(g.n), k):
+            for perm in permutations(rest):
+                seq = (first, *perm)
+                if perm[0] < perm[-1] and all(b in g.adj[a] for a, b in zip(seq, seq[1:] + (first,))):
+                    cycles.append(seq)
     cycles.sort()
     return cycles

@@ -376,14 +376,6 @@ def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
         raise CertificateError(f"{len(adj)} vertices remain after replaying all steps")
 
 
-def certificate_replays(g: Graph, cert: ReductionSequence) -> bool:
-    try:
-        replay_certificate(g, cert)
-    except CertificateError:
-        return False
-    return True
-
-
 def minimal_irreducible_witness_edges(g: Graph, p: int) -> frozenset[tuple[int, int]]:
     """Edge set (in g's labels) of an edge-minimal non-degenerate subgraph:
     deleting any one of its edges leaves a p-path degenerate graph."""

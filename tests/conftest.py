@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, path, theta
+from pathdeg.graph import chain_graph
 from pathdeg.enumeration import builtin_corpus
 
 
@@ -102,3 +103,35 @@ def trees_and_subdivisions(draw, max_n):
         subdivided.extend(zip(chain, chain[1:]))
     perm = draw(st.permutations(range(total)))
     return build_graph(total, [(perm[u], perm[v]) for u, v in subdivided])
+
+
+@st.composite
+def random_graphs(draw, max_n):
+    """A G(n, prob) random graph, n uniform in 0..max_n, of expected
+    average degree at most 4."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n = rnd.randint(0, max_n)
+    return random_graph(rnd, n, rnd.uniform(0, min(1, 4 / max(n - 1, 1))))
+
+
+@st.composite
+def degenerate_subdivisions(draw, r, min_n=100, max_n=400):
+    """A random multigraph on b vertices whose every edge becomes a path
+    of length r+1 to r+4, with up to five pendant vertices, relabeled by
+    a random permutation: (r+1)-path degenerate, with min_n to max_n
+    vertices.  b is drawn so that the base degrees average about 2 to 5."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    size = rnd.randint(min_n, max_n - r - 3)
+    b = rnd.randint(max(2, size // (3 * (r + 2))), max(2, size // (r + 2)))
+    links = []
+    total = b
+    while total < size:
+        u, v = rnd.sample(range(b), 2)
+        length = rnd.randint(r + 1, r + 4)
+        links.append((u, v, length))
+        total += length - 1
+    g = chain_graph(b, links)
+    pendants = [(rnd.randrange(g.n + i), g.n + i) for i in range(min(rnd.randint(0, 5), max_n - g.n))]
+    perm = list(range(g.n + len(pendants)))
+    rnd.shuffle(perm)
+    return build_graph(len(perm), [(perm[u], perm[v]) for u, v in sorted(g.edges) + pendants])

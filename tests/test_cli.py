@@ -334,6 +334,13 @@ class TestDensityCommand:
         assert not report.ok
         assert report.result == {"error": "StateCapExceeded", "message": "more than 300000 partition states"}
 
+    @pytest.mark.parametrize("depth", [["--nabla", "-1"], ["--nabla=-1/2"]])
+    def test_negative_depth_refused(self, depth):
+        report = run(["density", "--graph", "fixture:k4", *depth])
+        assert report.result == {"error": "ValueError", "message": "r must be a nonnegative half-integer"}
+        assert not report.ok
+        assert "ok: False" in report.render(as_json=False)
+
 
 class TestDeterminismAndExit:
     def test_reports_byte_identical(self):

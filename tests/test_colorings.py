@@ -16,7 +16,7 @@ from pathdeg.colorings import (
 from pathdeg.graph import enumerate_cycles
 from pathdeg.reduction import is_p_path_degenerate
 
-from conftest import random_graph, star, trees_and_subdivisions
+from conftest import degenerate_subdivisions, random_graph, star, trees_and_subdivisions
 
 
 def _rainbow_by_enumeration(cycles, coloring: EdgeColoring, t: int) -> bool:
@@ -247,6 +247,28 @@ class TestAcyclicColoring:
         assert verify_proper(g, col)
         assert verify_cycle_rainbow(g, col, t=4)
         assert col.num_colors <= max(g.max_degree(), 4) == 7
+
+
+class TestHundredsOfVertices:
+    """Both colorings pass their verifiers on relabeled subdivided random
+    graphs of 100 to 400 vertices that are (r+1)-path degenerate."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), degenerate_subdivisions(r))))
+    def test_arboricity(self, case):
+        r, g = case
+        col = arboricity_coloring(g, r)
+        assert verify_cycle_rainbow(g, col, t=r + 1)
+        assert col.num_colors <= r + 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(3, 5).flatmap(lambda r: st.tuples(st.just(r), degenerate_subdivisions(r))))
+    def test_acyclic(self, case):
+        r, g = case
+        col = acyclic_edge_coloring(g, r)
+        assert verify_proper(g, col)
+        assert verify_cycle_rainbow(g, col, t=r)
+        assert col.num_colors <= max(g.max_degree(), r)
 
 
 class TestDeterminism:

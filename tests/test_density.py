@@ -167,6 +167,11 @@ class TestNabla:
         with pytest.raises(ValueError):
             nabla_r_bruteforce(complete(4), Fraction(1, 3))
 
+    @pytest.mark.parametrize("r", [-1, -HALF])
+    def test_negative_depth_rejected(self, r):
+        with pytest.raises(ValueError, match="^r must be a nonnegative half-integer$"):
+            nabla_r_bruteforce(complete(4), r)
+
 
 class TestCompositionInequality:
     @pytest.mark.parametrize("a,b,c", [(HALF, HALF, Fraction(3, 2)), (0, 1, 1), (1, 0, 1)])
@@ -237,3 +242,8 @@ class TestShallowMinors:
         g = complete(4)
         keys = {canonical_key(h) for h in shallow_minors(g, HALF)}
         assert canonical_key(g) in keys
+
+    @pytest.mark.parametrize("r", [-1, -HALF])
+    def test_negative_depth_rejected(self, r):
+        with pytest.raises(ValueError, match="^r must be a nonnegative half-integer$"):
+            shallow_minors(complete(4), r)

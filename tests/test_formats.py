@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathdeg import complete, cycle, formats, path
-from pathdeg.colorings import arboricity_coloring
+from pathdeg.colorings import EdgeColoring, arboricity_coloring
 from pathdeg.formats import (
     FormatError,
     parse_certificate,
@@ -16,7 +20,9 @@ from pathdeg.formats import (
     to_graph6,
 )
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
-from pathdeg.wcol import WcolBoundParams, weak_order
+from pathdeg.wcol import LinearOrder, WcolBoundParams, weak_order
+
+from conftest import degenerate_subdivisions, random_graphs, trees_and_subdivisions
 
 
 class TestEdgeList:
@@ -183,3 +189,38 @@ class TestOrderLines:
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
             parse_order("0 0 1")
+
+
+class TestRoundTrips:
+    # random graphs of up to 100 vertices meet graph6's four-byte order header (n > 62)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=40), random_graphs(max_n=100))
+    def test_graph6_and_edge_list(self, tree, g):
+        for g in (tree, g):
+            assert parse_graph6(to_graph6(g)) == g
+            assert parse_edge_list(serialize_edge_list(g)) == g
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(trees_and_subdivisions(max_n=40), degenerate_subdivisions(r=3, min_n=20, max_n=100))
+    def test_certificates_in_both_ear_modes(self, tree, g):
+        for h, p, exact_ears in product((tree, g), (2, 3, 4), (False, True)):
+            verdict = is_p_path_degenerate(h, p, exact_ears=exact_ears)
+            if verdict.degenerate:
+                cert = verdict.certificate
+                parsed = parse_certificate(serialize_certificate(cert), p=p, exact_ears=exact_ears)
+                assert parsed == cert
+                replay_certificate(h, parsed)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(degenerate_subdivisions(r=2, min_n=20, max_n=100), random_graphs(max_n=100), st.integers(0, 2**32))
+    def test_colorings(self, g, h, seed):
+        rnd = random.Random(seed)
+        drawn = EdgeColoring({e: rnd.randint(1, 9) for e in sorted(h.edges)})
+        for coloring in (arboricity_coloring(g, 2), drawn):
+            assert parse_coloring(serialize_coloring(coloring)) == coloring
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 100).flatmap(lambda n: st.permutations(range(n))))
+    def test_orders(self, seq):
+        order = LinearOrder.from_sequence(seq)
+        assert parse_order(serialize_order(order)) == order

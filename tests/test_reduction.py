@@ -19,7 +19,6 @@ from pathdeg.reduction import (
     ReductionStep,
     SearchBudgetExceeded,
     backtrack_degenerate,
-    certificate_replays,
     find_p_reduction,
     greedy_reduce,
     is_p_path_degenerate,
@@ -203,17 +202,20 @@ class TestCertificates:
         g = cycle(9)
         cert = is_p_path_degenerate(g, 4).certificate
         swapped = ReductionSequence(p=4, steps=tuple(reversed(cert.steps)))
-        assert not certificate_replays(g, swapped)
+        with pytest.raises(CertificateError):
+            replay_certificate(g, swapped)
 
     def test_replay_rejects_short_ear(self):
         g = cycle(9)
         cert = is_p_path_degenerate(g, 4).certificate
         strict = ReductionSequence(p=9, steps=cert.steps)
-        assert not certificate_replays(g, strict)
+        with pytest.raises(CertificateError):
+            replay_certificate(g, strict)
 
     def test_replay_rejects_wrong_graph(self):
         cert = is_p_path_degenerate(cycle(9), 4).certificate
-        assert not certificate_replays(cycle(10), cert)
+        with pytest.raises(CertificateError):
+            replay_certificate(cycle(10), cert)
 
     def test_replay_requires_empty_end(self):
         g = cycle(9)
