@@ -199,6 +199,8 @@ def _cmd_bounds(args, _g: None, report: Report) -> None:
         res = bounds_mod.girth_bound_minor_closed(args.d, args.p)
         inputs = {"d": args.d, "p": args.p}
     elif theorem == "subexponential":
+        if args.a <= 0 or args.b < 0:
+            raise ValueError("a must be positive and b non-negative")
         if args.b > 0:
             expansion = lambda r: args.a * (r + 0.5) ** args.b  # noqa: E731
         else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Graph, blocks, normalize_edge
-from .reduction import ISOLATED, LEAF, NotPathDegenerate, certificate_or_raise  # noqa: F401 (the colorings raise it)
+from .reduction import EAR, LEAF, certificate_or_raise
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,19 @@ class EdgeColoring:
         return len(set(self.colors.values()))
 
 
-def _backward_steps(g: Graph, cert):
-    """Yield (step, built_vertices) in reverse deletion order; every edge
-    of g is introduced by exactly one step."""
+def _backward_paths(g: Graph, cert):
+    """Yield, in reverse deletion order, the path each step adds back:
+    (u, v) for a leaf v attached at u, the vertex sequence for an ear.
+    Every edge of g lies on exactly one of them."""
     built: set[int] = set()
     for step in reversed(cert.steps):
-        yield step, built
+        if step.kind == LEAF:
+            (v,) = step.vertices
+            attached = [u for u in g.adj[v] if u in built]
+            assert len(attached) == 1, "leaf step must attach by exactly one edge"
+            yield (attached[0], v)
+        elif step.kind == EAR:
+            yield step.vertices
         built.update(step.deleted)
 
 
@@ -55,18 +62,9 @@ def arboricity_coloring(g: Graph, r: int) -> EdgeColoring:
         raise ValueError("r must be >= 1")
     cert = certificate_or_raise(g, r + 1)
     colors: dict[tuple[int, int], int] = {}
-    for step, built in _backward_steps(g, cert):
-        if step.kind == ISOLATED:
-            continue
-        if step.kind == LEAF:
-            (v,) = step.vertices
-            attached = [u for u in g.adj[v] if u in built]
-            assert len(attached) == 1, "leaf step must attach by exactly one edge"
-            colors[normalize_edge(v, attached[0])] = 1
-        else:  # EAR: r+1 colors cyclically along the recorded sequence
-            seq = step.vertices
-            for i, (a, b) in enumerate(zip(seq, seq[1:])):
-                colors[normalize_edge(a, b)] = i % (r + 1) + 1
+    for seq in _backward_paths(g, cert):   # r+1 colors cyclically along each path
+        for i, (a, b) in enumerate(zip(seq, seq[1:])):
+            colors[normalize_edge(a, b)] = i % (r + 1) + 1
     assert len(colors) == g.m, "certificate replay must color every edge once"
     return EdgeColoring(colors=colors)
 
@@ -94,20 +92,13 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
         at[e[0]].add(c)
         at[e[1]].add(c)
 
-    for step, built in _backward_steps(g, cert):
-        if step.kind == ISOLATED:
-            continue
-        if step.kind == LEAF:
-            (v,) = step.vertices
-            attached = [u for u in g.adj[v] if u in built]
-            assert len(attached) == 1
-            assign(normalize_edge(v, attached[0]), _smallest_missing(at[attached[0]], limit))
-            continue
-        seq = step.vertices
-        k = len(seq) - 1                      # ear length, >= r+1
+    for seq in _backward_paths(g, cert):
         edges = [normalize_edge(a, b) for a, b in zip(seq, seq[1:])]
+        k = len(edges)                        # 1 for a leaf edge, >= r+1 for an ear
         alpha = _smallest_missing(at[seq[0]], limit)
         assign(edges[0], alpha)
+        if k == 1:
+            continue
         beta = _smallest_missing(at[seq[-1]], limit)
         assign(edges[-1], beta)
         if alpha != beta:

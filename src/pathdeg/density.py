@@ -39,6 +39,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+from .enumeration import canonical_key
 from .graph import Graph, build_graph, connected_components, peel, suppressed_multigraph
 
 
@@ -289,8 +290,6 @@ def nabla_r_bruteforce(g: Graph, r, cap: int = 300_000) -> Fraction:
 def shallow_minors(g: Graph, r, cap: int = 300_000) -> list[Graph]:
     """All shallow minors of g at depth r, up to isomorphism, as simple
     graphs (every subset of allowed minor edges, then deduplicated)."""
-    from .enumeration import canonical_key
-
     seen = {}
     for k, edges in _minor_edge_sets(g, r, cap):
         edges = sorted(edges)

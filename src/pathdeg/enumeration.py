@@ -3,7 +3,8 @@
 The canonical key is computed by color refinement plus individualization:
 refine vertex colors by neighborhood color multisets, branch on the first
 non-singleton color class, and take the minimum adjacency bitstring over
-all discrete refinements.  Exact for the tiny orders used here.
+all discrete refinements.  A branch is skipped when its vertex is a twin
+of one already tried in that class.  Exact for the tiny orders used here.
 
 `connected_graphs` regenerates the corpus from scratch; the package ships
 the result for n <= 8 as data/connected_graphs_le8.g6 so tests can load
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .formats import parse_graph6
 from .graph import Graph, build_graph, is_connected
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -90,7 +92,13 @@ def _mask_key(n, masks):
             if best is None or key < best:
                 best = key
             return
+        tried: list[int] = []
         for v in target:
+            # a twin of a vertex already tried repeats its subtree: swapping
+            # the two is an automorphism that keeps every color
+            if any(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u in tried):
+                continue
+            tried.append(v)
             branched = [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)]
             search(branched)
 
@@ -154,7 +162,5 @@ def connected_graphs(n: int):
 
 def builtin_corpus() -> list[Graph]:
     """The shipped corpus: every connected graph on at most 8 vertices."""
-    from .formats import parse_graph6
-
     text = resources.files("pathdeg").joinpath("data/connected_graphs_le8.g6").read_text()
     return [parse_graph6(line) for line in text.splitlines() if line.strip()]

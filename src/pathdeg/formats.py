@@ -8,8 +8,10 @@ to a multiple of six bits, each chunk offset by 63.
 
 from __future__ import annotations
 
+from .colorings import EdgeColoring
 from .graph import Graph, build_graph, normalize_edge
 from .reduction import ReductionSequence, ReductionStep, ISOLATED, LEAF, EAR
+from .wcol import LinearOrder
 
 
 # Largest vertex count any parser accepts: the graph6 order limit, also
@@ -165,8 +167,6 @@ def serialize_coloring(coloring) -> str:
 
 
 def parse_coloring(text: str):
-    from .colorings import EdgeColoring
-
     colors = {}
     for lineno, raw, parts in _rows(text):
         if len(parts) != 3:
@@ -187,8 +187,6 @@ def serialize_order(order) -> str:
 
 
 def parse_order(text: str):
-    from .wcol import LinearOrder
-
     try:
         seq = [int(tok) for tok in text.split()]
     except ValueError:

@@ -22,18 +22,22 @@ peeling, as in Batagelj and Zaversnik's O(m) k-core algorithm (2003):
   heap and marks each that falls to degree 2; before an ear is chosen,
   the chains through the marked vertices are rebuilt and pushed;
 - entries are checked when popped: a vertex must still have the degree
-  of its heap, and a chain entry is taken only if re-walking the chain
-  gives the key it was pushed with (otherwise it goes back under its
-  current key).
+  of its heap, and a chain entry, pushed with the chain's ends, is taken
+  only if its vertex is still there and each end still has degree >= 3.
+
+That check is exact because, between two ear choices, a chain changes in
+only two ways: an ear consumes it whole (its interior, then what is left
+of the chain, leaf by leaf), or an end falls to degree 2 and the chain
+grows through it, and then the rebuild pushes the grown chain anew.
 
 Cost: O(n + m) to start, then per step O(log n) plus the length of the
-chains it rebuilds or re-walks.  An ear consumes its whole chain (what is
-left of it unravels leaf by leaf), but a chain is walked again whenever
-it merges with another at a vertex that fell to degree 2, so a long
-chain that grows one merge at a time makes the total quadratic in the
-worst case.  The choice rule and the certificate format are unchanged
-from the engine that rescanned the whole graph for every step; the tests
-keep that scan as a reference and compare certificates step by step.
+chains it rebuilds.  A popped entry is never walked, but a merged chain
+is walked whole when it is rebuilt, so a long chain that grows one merge
+at a time (the rim of a wheel whose spokes are deleted in turn) makes
+the total quadratic in the worst case.  The choice rule and the
+certificate format are unchanged from the engine that rescanned the
+whole graph for every step; the tests keep that scan as a reference and
+compare certificates step by step.
 
 Certificates are replayable: each step records the vertices it deletes,
 and an independent checker validates applicability step by step.
@@ -166,8 +170,8 @@ def _chain(adj: dict[int, set[int]], v: int) -> tuple[list[int], bool]:
 def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
               p: int, exact: bool) -> tuple[int, ...] | None:
     """The smallest applicable ear, once no vertex has degree below 2.
-    Rebuilds the chains through `dirty`, then pops `chains` until an entry
-    re-walks to the key it was pushed with."""
+    Pushes the chains through `dirty`, then pops `chains` until an entry
+    is current: its vertex is still there and its ends still branch."""
     while dirty:
         v = dirty.pop()
         if len(adj.get(v, ())) != 2:
@@ -176,22 +180,19 @@ def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
         dirty.difference_update(s)
         key = _chain_best(s, closed, p, exact)
         if key is not None:
-            heappush(chains, (key, v))
+            heappush(chains, (key, v, () if closed else (s[0], s[-1])))
     while chains:
-        key, v = heappop(chains)
-        if len(adj.get(v, ())) != 2:
-            continue
-        current = _chain_best(*_chain(adj, v), p, exact)
-        if current == key:
+        key, v, ends = heappop(chains)
+        if v in adj and all(len(adj[e]) >= 3 for e in ends):
             return (key[0], *key[2:], key[1])
-        if current is not None:
-            heappush(chains, (current, v))
     return None
 
 
 def _peel(adj: dict[int, set[int]], p: int, exact: bool):
     """Yield the greedy steps in order; resuming deletes the last yielded
     step from adj.  Ends when adj is p-irreducible."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
     isolated = [v for v, nb in adj.items() if not nb]
     leaves = [v for v, nb in adj.items() if len(nb) == 1]
     heapify(isolated)
@@ -232,9 +233,14 @@ def find_p_reduction(g: Graph, p: int, exact_ears: bool = False) -> ReductionSte
     p-irreducible.  The choice is deterministic: isolated < leaf < ear,
     ties to the smallest vertex, ears to the smallest (endpoint pair,
     interior)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
     return next(_peel(_work_adj(g), p, exact_ears), None)
+
+
+def _reduce(g: Graph, p: int, exact_ears: bool) -> tuple[ReductionSequence, tuple[int, ...]]:
+    """The greedy run: its certificate and the sorted vertices it leaves."""
+    adj = _work_adj(g)
+    steps = tuple(_peel(adj, p, exact_ears))
+    return ReductionSequence(p=p, steps=steps, exact_ears=exact_ears), tuple(sorted(adj))
 
 
 def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
@@ -245,12 +251,8 @@ def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
     original-id order.  The residual is empty exactly when g is p-path
     degenerate.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    adj = _work_adj(g)
-    steps = list(_peel(adj, p, exact_ears))
-    residual = induced_subgraph(g, adj.keys())
-    return ReductionSequence(p=p, steps=tuple(steps), exact_ears=exact_ears), residual
+    cert, survivors = _reduce(g, p, exact_ears)
+    return cert, induced_subgraph(g, survivors)
 
 
 def certificate_or_raise(g: Graph, p: int, exact_ears: bool = False) -> ReductionSequence:
@@ -266,21 +268,11 @@ def certificate_or_raise(g: Graph, p: int, exact_ears: bool = False) -> Reductio
 def is_p_path_degenerate(g: Graph, p: int, exact_ears: bool = False) -> DegeneracyVerdict:
     """Decide p-path degeneracy with a certificate either way: a replayable
     reduction sequence, or a p-irreducible witness subgraph."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    adj = _work_adj(g)
-    steps = list(_peel(adj, p, exact_ears))
-    if not adj:
-        return DegeneracyVerdict(
-            degenerate=True,
-            certificate=ReductionSequence(p=p, steps=tuple(steps), exact_ears=exact_ears),
-        )
-    survivors = tuple(sorted(adj))
-    return DegeneracyVerdict(
-        degenerate=False,
-        witness=induced_subgraph(g, survivors),
-        witness_vertices=survivors,
-    )
+    cert, survivors = _reduce(g, p, exact_ears)
+    if not survivors:
+        return DegeneracyVerdict(degenerate=True, certificate=cert)
+    return DegeneracyVerdict(degenerate=False, witness=induced_subgraph(g, survivors),
+                             witness_vertices=survivors)
 
 
 def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
@@ -335,18 +327,15 @@ def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
     adj = _work_adj(g)
     for idx, step in enumerate(cert.steps):
         where = f"step {idx + 1} ({step.to_line()})"
-        if step.kind == ISOLATED:
+        if step.kind in (ISOLATED, LEAF):
+            if len(step.vertices) != 1:
+                raise CertificateError(f"{where}: {step.kind} takes exactly one vertex")
             (v,) = step.vertices
             if v not in adj:
                 raise CertificateError(f"{where}: vertex {v} not present")
-            if adj[v]:
+            if step.kind == ISOLATED and adj[v]:
                 raise CertificateError(f"{where}: vertex {v} is not isolated")
-            _delete_vertices(adj, (v,))
-        elif step.kind == LEAF:
-            (v,) = step.vertices
-            if v not in adj:
-                raise CertificateError(f"{where}: vertex {v} not present")
-            if len(adj[v]) != 1:
+            if step.kind == LEAF and len(adj[v]) != 1:
                 raise CertificateError(f"{where}: vertex {v} has degree {len(adj[v])}, not 1")
             _delete_vertices(adj, (v,))
         elif step.kind == EAR:

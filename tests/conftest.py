@@ -65,6 +65,19 @@ def triangle_row(k: int):
                                    ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
 
 
+def spoked_wheel(spokes: int, length: int):
+    """A wheel whose spokes are paths of `length` edges: hub 0, rim
+    1..spokes in cyclic order, then the spoke interiors.  Peeling it at
+    p <= length merges the rim chain with one spoke at a time."""
+    edges = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    n = spokes + 1
+    for rim in range(1, spokes + 1):
+        spoke = [0, *range(n, n + length - 1), rim]
+        edges += zip(spoke, spoke[1:])
+        n += length - 1
+    return build_graph(n, edges)
+
+
 def random_graph(rng: random.Random, n: int, prob: float):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob]
     return build_graph(n, edges)

@@ -216,6 +216,12 @@ class TestBoundsCommand:
         report = run(["bounds", "subexponential", "-a", "1", "-b", "0", "-p", "2"])
         assert report.result["threshold"] == 27
 
+    @pytest.mark.parametrize("a, b", [("-5", "1"), ("1", "-1")])
+    @pytest.mark.parametrize("theorem", ["polynomial", "subexponential"])
+    def test_rejects_nonpositive_density(self, theorem, a, b):
+        report = run(["bounds", theorem, "-a", a, "-b", b, "-p", "3"])
+        assert not report.ok and report.result["error"] == "ValueError"
+
     def test_wcol_rule(self):
         report = run(["bounds", "wcol-rule", "-r", "3", "-q", "4"])
         assert report.result["wcol_bound"] == 6

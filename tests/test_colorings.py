@@ -7,14 +7,13 @@ from pathdeg import build_graph, complete, cycle, fixture, path, subdivide, thet
 from pathdeg.colorings import (
     MAX_COLOR_SUBSETS,
     EdgeColoring,
-    NotPathDegenerate,
     acyclic_edge_coloring,
     arboricity_coloring,
     verify_cycle_rainbow,
     verify_proper,
 )
 from pathdeg.graph import enumerate_cycles
-from pathdeg.reduction import is_p_path_degenerate
+from pathdeg.reduction import NotPathDegenerate, is_p_path_degenerate
 
 from conftest import degenerate_subdivisions, random_graph, star, trees_and_subdivisions
 

@@ -13,6 +13,8 @@ from pathdeg.enumeration import (
 )
 from pathdeg.graph import is_connected
 
+from conftest import star
+
 
 @st.composite
 def equal_size_pairs(draw):
@@ -65,6 +67,22 @@ class TestCanonicalKey:
         from pathdeg import fixture
 
         assert canonical_key(fixture("k33")) != canonical_key(fixture("prism"))
+
+    def test_twin_rich_graphs(self, rng):
+        # color refinement never splits these, so every cell is all twins
+        graphs = []
+        for n in (5, 8, 12):
+            graphs += [build_graph(n, []), complete(n), star(n - 1)]
+        graphs += [build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+                   for a, b in ((2, 3), (3, 3), (4, 8), (6, 6))]
+        keys = set()
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert canonical_key(g) == canonical_key(h)
+            keys.add(canonical_key(g))
+        assert len(keys) == len(graphs)
 
     def test_order_matters(self):
         assert canonical_key(build_graph(3, [])) != canonical_key(build_graph(4, []))

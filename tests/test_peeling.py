@@ -2,6 +2,8 @@
 greedy certificate step must be the step the scan picks on the graph
 left by the steps before it."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from pathdeg import build_graph, cycle, fixture, subdivide
 from pathdeg.graph import induced_subgraph
 from pathdeg.reduction import _delete_vertices, _work_adj, find_p_reduction, greedy_reduce
 
+from conftest import spoked_wheel
 from scan_oracle import _find_step
 
 
@@ -38,6 +41,19 @@ def test_subdivided_fixtures(name):
         for p in range(2, 8):
             for exact in (False, True):
                 assert_matches_scan(g, p, exact)
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_wheels_with_subdivided_spokes(length):
+    rng = random.Random(length)
+    for spokes in range(3, 21):
+        g = spoked_wheel(spokes, length)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
+            for p in range(2, 6):
+                for exact in (False, True):
+                    assert_matches_scan(h, p, exact)
 
 
 def test_cycles():

@@ -224,6 +224,11 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="remain"):
             replay_certificate(g, partial)
 
+    @pytest.mark.parametrize("step", [ReductionStep(LEAF, (0, 1)), ReductionStep(ISOLATED, ())])
+    def test_replay_rejects_malformed_vertex_step(self, step):
+        with pytest.raises(CertificateError, match="takes exactly one vertex"):
+            replay_certificate(path(2), ReductionSequence(p=2, steps=(step,)))
+
     def test_certificates_replay_across_corpus(self, corpus):
         for g in corpus.values():
             for p in (2, 3):

@@ -1,10 +1,12 @@
 """The certificate pipeline, both colorings and their verifiers, and mad
 on a subdivided random cubic graph of about 20k vertices, and girth and
-cycle enumeration on a subdivided dodecahedron of 3020 vertices.  A
+cycle enumeration on a subdivided dodecahedron of 3020 vertices, and
+the reduction of an 8001-vertex wheel with subdivided spokes.  A
 reduction engine that rescans the graph on every step takes minutes on
 the first, and a cycle-rainbow check that lists cycles runs past any
 cycle cap there; girth with one BFS per vertex takes seconds on the
-second."""
+second.  On the wheel the rim chain grows by one merge per spoke, the
+engine's quadratic worst case."""
 
 import random
 from fractions import Fraction
@@ -16,7 +18,7 @@ from pathdeg.graph import enumerate_cycles, girth
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
 from pathdeg.wcol import WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
 
-from conftest import random_cubic
+from conftest import random_cubic, spoked_wheel
 
 
 def test_subdivided_cubic_20k():
@@ -49,3 +51,11 @@ def test_subdivided_dodecahedron_girth_and_cycles():
     assert g.n == 3020
     assert girth(g) == 505
     assert len(enumerate_cycles(g, 10_000)) == 1168
+
+
+def test_wheel_with_subdivided_spokes():
+    g = spoked_wheel(2000, 4)
+    assert g.n == 8001
+    verdict = is_p_path_degenerate(g, 4)
+    assert verdict.degenerate
+    replay_certificate(g, verdict.certificate)
