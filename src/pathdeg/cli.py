@@ -33,7 +33,7 @@ from .reduction import (
     is_p_path_degenerate,
     replay_certificate,
 )
-from .wcol import LinearOrder, WcolBoundParams, wcol_under_order, weak_order, wreach_bound_ok
+from .wcol import LinearOrder, WcolBoundParams, weak_order, wreach_bound_ok, wreach_maxima
 
 
 @dataclass
@@ -170,13 +170,12 @@ def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams, report:
     """Check max |WReach_x| against its bound for x = 0..r and record the
     outcome.  Returns max |WReach_r|, the weak r-coloring number under
     the order."""
-    per_x = {}
-    for x in range(params.r + 1):
-        worst = wcol_under_order(g, order, x)
-        per_x[str(x)] = {"max_wreach": worst, "ok": wreach_bound_ok(worst, x, params)}
+    maxima = wreach_maxima(g, order, params.r)
+    per_x = {str(x): {"max_wreach": worst, "ok": wreach_bound_ok(worst, x, params)}
+             for x, worst in enumerate(maxima)}
     report.ok = all(check["ok"] for check in per_x.values())
     report.verification = {"bound_per_radius": per_x, "all_within_bound": report.ok}
-    return worst
+    return maxima[-1]
 
 
 def _cmd_wcol_order(args, g: Graph, report: Report) -> None:
@@ -337,9 +336,19 @@ _HANDLERS = {
 }
 
 
-def run(argv: list[str]) -> Report:
-    """Parse argv, execute the command, return the Report."""
-    args = build_parser().parse_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by `build_parser`; --json may also follow the command."""
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if "--json" in extra:
+        args.json = True
+        extra = [arg for arg in extra if arg != "--json"]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def _execute(args: argparse.Namespace, argv: list[str]) -> Report:
     report = Report(command=" ".join(argv))
     try:
         g = None
@@ -353,11 +362,16 @@ def run(argv: list[str]) -> Report:
     return report
 
 
+def run(argv: list[str]) -> Report:
+    """Parse argv, execute the command, return the Report."""
+    return _execute(_parse(argv), argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    as_json = "--json" in argv
-    report = run(argv)
-    print(report.render(as_json=as_json))
+    args = _parse(argv)
+    report = _execute(args, argv)
+    print(report.render(as_json=args.json))
     return 0 if report.ok else 1
 
 

@@ -102,8 +102,10 @@ def build_graph(n: int, edge_list) -> Graph:
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced on `vertices`, relabeled 0..k-1 in increasing
-    original-id order."""
+    original-id order; g itself when that is all of g's vertices."""
     keep = sorted(set(vertices))
+    if len(keep) == g.n and keep == list(range(g.n)):
+        return g
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     return build_graph(len(keep), edges)

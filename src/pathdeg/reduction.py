@@ -13,31 +13,32 @@ only when neither exists, the one with the smallest key (endpoint pair,
 then interior read from the smaller endpoint).  It finds that step by
 peeling, as in Batagelj and Zaversnik's O(m) k-core algorithm (2003):
 
-- isolated and degree-1 vertices wait in two min-heaps;
+- isolated and degree-1 vertices wait in one min-heap of (degree, vertex);
 - each maximal chain of degree-2 vertices (an open chain between branch
   vertices, a loop at one branch vertex, or a cycle component) sits in a
-  third min-heap under the key of its best ear, found in one pass over
+  second min-heap under the key of its best ear, found in one pass over
   the chain;
-- a deletion pushes each neighbour that falls to degree 0 or 1 onto its
-  heap and marks each that falls to degree 2; before an ear is chosen,
-  the chains through the marked vertices are rebuilt and pushed;
+- a deletion pushes each neighbour that falls to degree 0 or 1 onto the
+  first heap and marks each that falls to degree 2; before an ear is
+  chosen, the chains through the marked vertices are rebuilt and pushed;
 - entries are checked when popped: a vertex must still have the degree
-  of its heap, and a chain entry, pushed with the chain's ends, is taken
-  only if its vertex is still there and each end still has degree >= 3.
+  it was pushed with, and a chain entry, pushed with the chain's ends, is
+  taken only if its vertex is still there and each end still has degree
+  >= 3.
 
 That check is exact because, between two ear choices, a chain changes in
 only two ways: an ear consumes it whole (its interior, then what is left
 of the chain, leaf by leaf), or an end falls to degree 2 and the chain
 grows through it, and then the rebuild pushes the grown chain anew.
 
-Cost: O(n + m) to start, then per step O(log n) plus the length of the
-chains it rebuilds.  A popped entry is never walked, but a merged chain
-is walked whole when it is rebuilt, so a long chain that grows one merge
-at a time (the rim of a wheel whose spokes are deleted in turn) makes
-the total quadratic in the worst case.  The choice rule and the
-certificate format are unchanged from the engine that rescanned the
-whole graph for every step; the tests keep that scan as a reference and
-compare certificates step by step.
+Cost: O(n + m) to start, then per step O(log n) plus the vertices it
+deletes and the chains it rebuilds: only a leaf's neighbour or an ear's
+two ends stay behind with a lower degree.  A merged chain is walked
+whole when it is rebuilt, so a chain that grows one merge at a time (the
+rim of a wheel whose spokes are deleted in turn) keeps the worst case
+quadratic.  The choice rule and the certificate format are unchanged
+from the engine that rescanned the whole graph for every step; the tests
+keep that scan as a reference and compare certificates step by step.
 
 Certificates are replayable: each step records the vertices it deletes,
 and an independent checker validates applicability step by step.
@@ -152,6 +153,10 @@ def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, .
     j = s.index(min(s[p:m if loop else m + 1]), p)
     lo = 1 if loop else 0
     i = s.index(min(s[lo:m - p + 1]), lo)
+    first = (s[0], s[j]) if s[0] < s[j] else (s[j], s[0])
+    last = (s[i], s[m]) if s[i] < s[m] else (s[m], s[i])
+    if first != last:
+        return _window_key(s, 0, j) if first < last else _window_key(s, i, m)
     return min(_window_key(s, 0, j), _window_key(s, i, m))
 
 
@@ -183,7 +188,7 @@ def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
             heappush(chains, (key, v, () if closed else (s[0], s[-1])))
     while chains:
         key, v, ends = heappop(chains)
-        if v in adj and all(len(adj[e]) >= 3 for e in ends):
+        if v in adj and (not ends or len(adj[ends[0]]) > 2 and len(adj[ends[1]]) > 2):
             return (key[0], *key[2:], key[1])
     return None
 
@@ -193,37 +198,31 @@ def _peel(adj: dict[int, set[int]], p: int, exact: bool):
     step from adj.  Ends when adj is p-irreducible."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    isolated = [v for v, nb in adj.items() if not nb]
-    leaves = [v for v, nb in adj.items() if len(nb) == 1]
-    heapify(isolated)
-    heapify(leaves)
+    low = [(len(nb), v) for v, nb in adj.items() if len(nb) < 2]
+    heapify(low)
     dirty = {v for v, nb in adj.items() if len(nb) == 2}
     chains: list = []
     while True:
-        while isolated and isolated[0] not in adj:
-            heappop(isolated)
-        while leaves and len(adj.get(leaves[0], ())) != 1:
-            heappop(leaves)
-        if isolated:
-            step = ReductionStep(ISOLATED, (heappop(isolated),))
-        elif leaves:
-            step = ReductionStep(LEAF, (heappop(leaves),))
+        while low and len(adj.get(low[0][1], ())) != low[0][0]:
+            heappop(low)
+        # cut: (vertex that stays, the neighbour it loses) for each survivor
+        if low:
+            degree, v = heappop(low)
+            yield ReductionStep(LEAF if degree else ISOLATED, (v,))
+            cut = [(u, v) for u in adj.pop(v)]
         else:
             ear = _next_ear(adj, chains, dirty, p, exact)
             if ear is None:
                 return
-            step = ReductionStep(EAR, ear)
-        yield step
-        touched = [u for v in step.deleted for u in adj[v]]
-        _delete_vertices(adj, step.deleted)
-        for u in touched:
-            if u not in adj:
-                continue
+            yield ReductionStep(EAR, ear)
+            for v in ear[1:-1]:
+                del adj[v]
+            cut = ((ear[0], ear[1]), (ear[-1], ear[-2]))
+        for u, v in cut:
+            adj[u].discard(v)
             degree = len(adj[u])
-            if degree == 0:
-                heappush(isolated, u)
-            elif degree == 1:
-                heappush(leaves, u)
+            if degree < 2:
+                heappush(low, (degree, u))
             elif degree == 2:
                 dirty.add(u)
 
@@ -321,46 +320,52 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
     return False
 
 
+def _step_error(adj: dict[int, set[int]], step: ReductionStep, p: int, exact: bool) -> str | None:
+    """Why `step` does not apply to adj, or None when it does."""
+    vs = step.vertices
+    if step.kind in (ISOLATED, LEAF):
+        if len(vs) != 1:
+            return f"{step.kind} takes exactly one vertex"
+        (v,) = vs
+        if v not in adj:
+            return f"vertex {v} not present"
+        if step.kind == ISOLATED and adj[v]:
+            return f"vertex {v} is not isolated"
+        if step.kind == LEAF and len(adj[v]) != 1:
+            return f"vertex {v} has degree {len(adj[v])}, not 1"
+        return None
+    if step.kind != EAR:
+        return f"unknown step kind {step.kind!r}"
+    length = len(vs) - 1
+    if length < p:
+        return f"ear length {length} < p={p}"
+    if exact and length != p:
+        return f"ear length {length} != p={p}"
+    if vs[0] == vs[-1]:
+        return "ear endpoints coincide"
+    if len(set(vs)) != len(vs):
+        return "repeated vertex on ear"
+    for v in vs:
+        if v not in adj:
+            return f"vertex {v} not present"
+    for a, b in zip(vs, vs[1:]):
+        if b not in adj[a]:
+            return f"{a} and {b} not adjacent"
+    for v in vs[1:-1]:
+        if len(adj[v]) != 2:
+            return f"interior vertex {v} has degree {len(adj[v])}"
+    return None
+
+
 def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
     """Independent checker: validate every step against the evolving graph
     and require the final graph to be empty.  Raises CertificateError."""
     adj = _work_adj(g)
     for idx, step in enumerate(cert.steps):
-        where = f"step {idx + 1} ({step.to_line()})"
-        if step.kind in (ISOLATED, LEAF):
-            if len(step.vertices) != 1:
-                raise CertificateError(f"{where}: {step.kind} takes exactly one vertex")
-            (v,) = step.vertices
-            if v not in adj:
-                raise CertificateError(f"{where}: vertex {v} not present")
-            if step.kind == ISOLATED and adj[v]:
-                raise CertificateError(f"{where}: vertex {v} is not isolated")
-            if step.kind == LEAF and len(adj[v]) != 1:
-                raise CertificateError(f"{where}: vertex {v} has degree {len(adj[v])}, not 1")
-            _delete_vertices(adj, (v,))
-        elif step.kind == EAR:
-            seq = step.vertices
-            length = len(seq) - 1
-            if length < cert.p:
-                raise CertificateError(f"{where}: ear length {length} < p={cert.p}")
-            if cert.exact_ears and length != cert.p:
-                raise CertificateError(f"{where}: ear length {length} != p={cert.p}")
-            if seq[0] == seq[-1]:
-                raise CertificateError(f"{where}: ear endpoints coincide")
-            if len(set(seq)) != len(seq):
-                raise CertificateError(f"{where}: repeated vertex on ear")
-            for v in seq:
-                if v not in adj:
-                    raise CertificateError(f"{where}: vertex {v} not present")
-            for a, b in zip(seq, seq[1:]):
-                if b not in adj[a]:
-                    raise CertificateError(f"{where}: {a} and {b} not adjacent")
-            for v in seq[1:-1]:
-                if len(adj[v]) != 2:
-                    raise CertificateError(f"{where}: interior vertex {v} has degree {len(adj[v])}")
-            _delete_vertices(adj, seq[1:-1])
-        else:
-            raise CertificateError(f"{where}: unknown step kind {step.kind!r}")
+        error = _step_error(adj, step, cert.p, cert.exact_ears)
+        if error:
+            raise CertificateError(f"step {idx + 1} ({step.to_line()}): {error}")
+        _delete_vertices(adj, step.deleted)
     if adj:
         raise CertificateError(f"{len(adj)} vertices remain after replaying all steps")
 

@@ -67,31 +67,43 @@ class WcolBoundParams:
         return 2 * self.q
 
 
-def wreach_all(g: Graph, pi: LinearOrder, x: int) -> list[set[int]]:
-    """WReach_x sets for every vertex: one rank-restricted BFS per source
-    u covers all targets v above it."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
+def _weak_reach(g: Graph, pi: LinearOrder, x: int) -> list[dict[int, int]]:
+    """reach[v] maps each u in WReach_x(v) to the length of a shortest
+    u-v path whose internal vertices are all above u: one rank-restricted
+    BFS per source u covers all targets v above it."""
     ranks = pi.ranks
-    reach: list[set[int]] = [{v} for v in range(g.n)]
+    adj = g.adj
+    reach = [{v: 0} for v in range(g.n)]
     for u in range(g.n):
         ru = ranks[u]
-        dist = {u: 0}
         frontier = [u]
         d = 0
         while frontier and d < x:
             d += 1
             nxt = []
             for a in frontier:
-                for b in g.adj[a]:
-                    if b not in dist and ranks[b] > ru:
-                        dist[b] = d
+                for b in adj[a]:
+                    if ranks[b] > ru and u not in reach[b]:
+                        reach[b][u] = d
                         nxt.append(b)
             frontier = nxt
-        for v in dist:
-            if v != u:
-                reach[v].add(u)
     return reach
+
+
+def wreach_all(g: Graph, pi: LinearOrder, x: int) -> list[set[int]]:
+    """WReach_x sets for every vertex."""
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    return [set(row) for row in _weak_reach(g, pi, x)]
+
+
+def wreach_maxima(g: Graph, pi: LinearOrder, r: int) -> list[int]:
+    """max |WReach_x| over all vertices for x = 0..r (0 on the empty
+    graph), read off one depth-r search per source."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    reach = _weak_reach(g, pi, r)
+    return [max((sum(d <= x for d in row.values()) for row in reach), default=0) for x in range(r + 1)]
 
 
 def wcol_under_order(g: Graph, pi: LinearOrder, r: int) -> int:

@@ -360,6 +360,25 @@ class TestDeterminismAndExit:
         doc = json.loads(text)
         assert doc["ok"] is True
 
+    @pytest.mark.parametrize("argv", [["--json", "analyze", "--graph", "fixture:k4"],
+                                      ["analyze", "--graph", "fixture:k4", "--json"],
+                                      ["bounds", "--json", "wcol-rule"]])
+    def test_json_before_or_after_the_command(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["command"] == " ".join(argv)
+        assert out == run(argv).render(as_json=True) + "\n"
+
+    def test_text_unless_json_is_given(self, capsys):
+        assert main(["analyze", "--graph", "fixture:k4"]) == 0
+        assert capsys.readouterr().out.startswith("command: analyze --graph fixture:k4\n")
+
+    def test_other_unknown_arguments_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--graph", "fixture:k4", "--json", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
     def test_exit_codes(self, capsys):
         assert main(["analyze", "--graph", "fixture:k4"]) == 0
         assert main(["color-arb", "-r", "1", "--graph", "fixture:dodecahedron"]) == 1

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdeg import build_graph, cycle, fixture, subdivide
-from pathdeg.graph import induced_subgraph
+from pathdeg import build_graph, complete, cycle, fixture, subdivide
+from pathdeg.graph import chain_graph, induced_subgraph
 from pathdeg.reduction import _delete_vertices, _work_adj, find_p_reduction, greedy_reduce
 
 from conftest import spoked_wheel
@@ -56,6 +56,41 @@ def test_wheels_with_subdivided_spokes(length):
                     assert_matches_scan(h, p, exact)
 
 
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(n + u, n + v) for u, v in g.edges]
+        n += g.n
+    return build_graph(n, edges)
+
+
+# Graphs, for a given p, on which a step detaches its survivors in the
+# ways the engine's bookkeeping must follow.
+ATTACHMENTS = {
+    # the loop at 0 loses an ear; what is left of it peels back to 0,
+    # which becomes a leaf and peels its bar into 1 (degree 3 -> 2)
+    "loop-at-degree-3": lambda p: chain_graph(2, [(0, 0, p + 2), (0, 1, 3), (1, 1, p + 1)]),
+    "loop-on-theta": lambda p: chain_graph(3, [(0, 0, p + 1), (0, 1, 2), (1, 2, 1), (1, 2, p), (1, 2, p + 1)]),
+    # isolated vertices and K2s (two leaves that detach from each other)
+    "k1-k2-beside-cycles": lambda p: disjoint_union(build_graph(1, []), complete(2), cycle(p + 2),
+                                                      complete(2), cycle(p + 1), build_graph(1, [])),
+    # exact mode takes a cycle of length p+1, or a loop of that length at a
+    # branch vertex, by an ear whose two ends are adjacent
+    "ear-ends-adjacent": lambda p: disjoint_union(cycle(p + 1), chain_graph(1, [(0, 0, p + 1), (0, 0, p + 1)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTACHMENTS))
+def test_attachment_cases(name):
+    for p in range(2, 7):
+        g = ATTACHMENTS[name](p)
+        perm = list(range(g.n))
+        random.Random(p).shuffle(perm)
+        for h in (g, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
+            for exact in (False, True):
+                assert_matches_scan(h, p, exact)
+
+
 def test_cycles():
     for n in range(3, 14):
         for p in range(2, n + 2):
@@ -79,4 +114,59 @@ def sparse_graphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sparse_graphs(), st.integers(2, 6), st.booleans())
 def test_random_sparse_graphs(g, p, exact):
+    assert_matches_scan(g, p, exact)
+
+
+@st.composite
+def dense_graphs(draw, max_n=12):
+    """G(n, 1/2): each pair of n <= max_n vertices is an edge by a coin flip."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    coins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, coin in zip(pairs, coins) if coin])
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two to four G(n, 1/2) components on at most 12 vertices in all,
+    relabeled by a random permutation."""
+    parts = [draw(dense_graphs(max_n=6)) for _ in range(draw(st.integers(2, 4)))]
+    while sum(g.n for g in parts) > 12:
+        parts.pop()
+    g = disjoint_union(*parts)
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dense_graphs(), st.integers(2, 6), st.booleans())
+def test_dense_random_graphs(g, p, exact):
+    assert_matches_scan(g, p, exact)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disjoint_unions(), st.integers(2, 6), st.booleans())
+def test_disjoint_unions(g, p, exact):
+    assert_matches_scan(g, p, exact)
+
+
+@st.composite
+def chain_multigraphs(draw):
+    """Up to four branch vertices joined by up to six chains of 1-6 edges,
+    loops and parallel chains included, relabeled by a random
+    permutation: merges, loops that close into cycles and chains whose
+    ends fall to degree 2 come up often."""
+    k = draw(st.integers(1, 4))
+    links = []
+    for _ in range(draw(st.integers(1, 6))):
+        u, v = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        links.append((u, v, draw(st.integers(3 if u == v else 1, 6))))
+    g = chain_graph(k, links)
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(chain_multigraphs(), st.integers(2, 6), st.booleans())
+def test_chain_multigraphs(g, p, exact):
     assert_matches_scan(g, p, exact)

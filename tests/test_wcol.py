@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from pathdeg.wcol import (
     weak_order,
     wreach_all,
     wreach_bound_ok,
+    wreach_maxima,
 )
 
 
@@ -47,6 +49,14 @@ class TestWreach:
 
 
 class TestWcolUnderOrder:
+    def test_maxima_per_radius_from_one_search(self, corpus):
+        rng = random.Random(3)
+        for g in [build_graph(0, []), *corpus.values()]:
+            seq = list(range(g.n))
+            rng.shuffle(seq)
+            pi = LinearOrder.from_sequence(seq)
+            assert wreach_maxima(g, pi, 4) == [wcol_under_order(g, pi, x) for x in range(5)]
+
     def test_single_vertex(self):
         g = build_graph(1, [])
         assert wcol_under_order(g, LinearOrder.from_sequence([0]), 3) == 1
