@@ -163,7 +163,7 @@ def girth_bound_subexponential(expansion, p: int, r_max: int = 10_000) -> BoundR
     if p < 2:
         raise ValueError("p must be >= 2")
     for r in range(p, r_max + 1):
-        if expansion(3 * p * r) < 2.0 ** r:
+        if expansion(3 * p * r) < 2 ** r:
             value = (6 * p * r + 3) * (p - 1)
             return BoundResult.of(float(value), f"sub-exponential (r={r})")
     raise ValueError(f"no r <= {r_max} with expansion(3pr) < 2^r; "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -371,7 +372,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     report = _execute(args, argv)
-    print(report.render(as_json=args.json))
+    try:
+        print(report.render(as_json=args.json))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so the flush at
+        # interpreter exit does not raise again, and report the failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if report.ok else 1
 
 

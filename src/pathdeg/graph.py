@@ -1,8 +1,9 @@
 """Immutable simple undirected graphs and the structural primitives used
-throughout the package: girth, subdivision, the degree-2 chain walk,
-the chain decomposition built on it (suppressed_multigraph, whose chains
-also give the strict ears) and its inverse chain_graph, the 2-core peel,
-the block decomposition, and bounded enumeration of simple cycles.
+throughout the package: girth, subdivision, the degree-2 chain walk and
+chains_through, the one chain decomposition built on it (the reduction
+engine, its oracle, girth and suppressed_multigraph all read it), the
+inverse chain_graph, the 2-core peel, the block decomposition, and
+bounded enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
@@ -11,14 +12,14 @@ to share between computations.
 The graphs of interest are mostly subdivision vertices, so `girth` runs
 one BFS per vertex of degree >= 3 and per cycle component, not per
 vertex.  `blocks` is one linear pass.  `enumerate_cycles` is exponential
-in the worst case and serves the tests and the public API only.
+in the worst case and serves the tests and the public API only; its
+brute-force oracles live in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 INFINITE = math.inf
 
@@ -153,9 +154,8 @@ def girth(g: Graph):
     O(n + m) per root, so a subdivided graph pays per branch vertex, not
     per subdivision vertex.
     """
-    deg = g.degrees()
-    roots = [v for v in range(g.n) if deg[v] >= 3]
-    roots += [comp[0] for comp in connected_components(g) if all(deg[v] == 2 for v in comp)]
+    roots = [v for v in range(g.n) if len(g.adj[v]) >= 3]
+    roots += [s[0] for s, closed in chains_through(g.adj, range(g.n)) if closed]
     best = INFINITE
     for s in roots:
         dist = {s: 0}
@@ -220,6 +220,29 @@ def walk_chain(adj, prev: int, cur: int) -> list[int]:
     return out
 
 
+def chains_through(adj, vertices):
+    """Each maximal degree-2 chain through a degree-2 vertex of `vertices`,
+    once, as (s, closed).  closed: s is a cycle component in cyclic order,
+    from the first of its vertices met.  Otherwise s runs through the
+    chain's interior between two vertices of another degree (one, for a
+    loop).  adj is as for walk_chain.  Every strict ear lies inside one
+    of these chains."""
+    walked: set[int] = set()
+    for v in vertices:
+        if v in walked or len(adj[v]) != 2:
+            continue
+        a, b = adj[v]
+        right = walk_chain(adj, v, a)
+        if right[-1] == v:
+            s, closed = [v, *right[:-1]], True
+        else:
+            left = walk_chain(adj, v, b)
+            left.reverse()
+            s, closed = [*left, v, *right], False
+        walked.update(s)
+        yield s, closed
+
+
 def peel(adj, deg: list[int], alive: list[bool], stack: list[int]) -> None:
     """Delete the vertices on `stack`, then every vertex whose degree falls
     below 2 in turn, by clearing alive[v].  deg[v] is kept as the number of
@@ -243,24 +266,22 @@ def suppressed_multigraph(adj, branch: list[int]) -> list[list[int]]:
     adj maps each vertex to its neighbours, as for walk_chain, and `branch`
     holds exactly the vertices reachable from it whose degree is not 2 (for
     a whole graph, every vertex of degree != 2).  Returns each chain between
-    branch vertices once, as its vertex list [u, ..., v], u == v for a
-    loop; its length is one less than its size.  A chain with an interior
-    is walked from whichever of its ends comes first in `branch`.  An edge
-    between two branch vertices is the chain [u, v] with u < v, recorded
-    without a walk; a cycle component through no branch vertex gives no
-    chain.
+    branch vertices once, as its vertex list [u, ..., v] oriented so that
+    u <= v (u == v for a loop); its length is one less than its size.  The
+    edges between branch vertices come first, then the chains_through the
+    branch vertices' degree-2 neighbours; a cycle component through no
+    branch vertex gives no chain.
     """
     chains = []
-    walked = set()
+    inner = []
     for u in branch:
         for w in adj[u]:
-            if len(adj[w]) != 2:
-                if u < w:
-                    chains.append([u, w])
-            elif w not in walked:
-                chain = [u, *walk_chain(adj, u, w)]
-                walked.add(chain[-2])
-                chains.append(chain)
+            if len(adj[w]) == 2:
+                inner.append(w)
+            elif u < w:
+                chains.append([u, w])
+    for s, _ in chains_through(adj, inner):
+        chains.append(s if s[0] <= s[-1] else s[::-1])
     return chains
 
 
@@ -361,55 +382,5 @@ def enumerate_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
                 iters.pop()
                 onpath[path.pop()] = False
         peel(g.adj, deg, in_core, [s])
-    cycles.sort()
-    return cycles
-
-
-def count_cycles_via_cycle_space(g: Graph) -> int:
-    """Independent cycle counter: XOR all combinations of a fundamental
-    cycle basis and count the connected 2-regular edge sets.  Only usable
-    when the cycle space dimension m - n + c is small."""
-    comps = connected_components(g)
-    dim = g.m - g.n + len(comps)
-    if dim > 20:
-        raise ValueError(f"cycle space dimension {dim} too large")
-    edges = sorted(g.edges)
-    bit = {e: 1 << i for i, e in enumerate(edges)}
-    # to_root[v]: the edges of v's path to its component's root in a DFS forest
-    to_root = [0] * g.n
-    seen = [False] * g.n
-    for comp in comps:
-        seen[comp[0]] = True
-        stack = [comp[0]]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    to_root[w] = to_root[u] ^ bit[normalize_edge(u, w)]
-                    stack.append(w)
-    # the fundamental cycle of each non-tree edge; a tree edge's comes out empty
-    basis = [c for c in (bit[e] ^ to_root[e[0]] ^ to_root[e[1]] for e in edges) if c]
-    # Gray-code order: the i-th element differs from the last by one basis cycle
-    count = 0
-    mask = 0
-    for i in range(1, 1 << dim):
-        mask ^= basis[(i & -i).bit_length() - 1]
-        h = from_edges([e for e in edges if bit[e] & mask])
-        if all(d == 2 for d in h.degrees()) and is_connected(h):
-            count += 1
-    return count
-
-
-def enumerate_cycles_bruteforce(g: Graph) -> list[tuple[int, ...]]:
-    """Oracle: find cycles by checking every permutation of every vertex
-    subset.  Exponential; only for cross-checking on tiny graphs."""
-    cycles = []
-    for k in range(3, g.n + 1):
-        for first, *rest in combinations(range(g.n), k):
-            for perm in permutations(rest):
-                seq = (first, *perm)
-                if perm[0] < perm[-1] and all(b in g.adj[a] for a, b in zip(seq, seq[1:] + (first,))):
-                    cycles.append(seq)
     cycles.sort()
     return cycles

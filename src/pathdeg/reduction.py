@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, induced_subgraph, from_edges, peel, walk_chain
+from .graph import Graph, chains_through, induced_subgraph, from_edges, peel
 
 ISOLATED = "I"
 LEAF = "L"
@@ -160,32 +160,17 @@ def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, .
     return min(_window_key(s, 0, j), _window_key(s, i, m))
 
 
-def _chain(adj: dict[int, set[int]], v: int) -> tuple[list[int], bool]:
-    """The maximal degree-2 chain through v (of degree 2), as (s, closed)
-    for `_chain_best`."""
-    a, b = adj[v]
-    right = walk_chain(adj, v, a)
-    if right[-1] == v:
-        return [v, *right[:-1]], True
-    left = walk_chain(adj, v, b)
-    left.reverse()
-    return [*left, v, *right], False
-
-
 def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
               p: int, exact: bool) -> tuple[int, ...] | None:
     """The smallest applicable ear, once no vertex has degree below 2.
-    Pushes the chains through `dirty`, then pops `chains` until an entry
-    is current: its vertex is still there and its ends still branch."""
-    while dirty:
-        v = dirty.pop()
-        if len(adj.get(v, ())) != 2:
-            continue
-        s, closed = _chain(adj, v)
-        dirty.difference_update(s)
+    Pushes the chains through `dirty` and clears it, then pops `chains`
+    until an entry is current: its vertex s[1], inside the chain, is still
+    there and its ends still branch."""
+    for s, closed in chains_through(adj, dirty):
         key = _chain_best(s, closed, p, exact)
         if key is not None:
-            heappush(chains, (key, v, () if closed else (s[0], s[-1])))
+            heappush(chains, (key, s[1], () if closed else (s[0], s[-1])))
+    dirty.clear()
     while chains:
         key, v, ends = heappop(chains)
         if v in adj and (not ends or len(adj[ends[0]]) > 2 and len(adj[ends[1]]) > 2):
@@ -209,6 +194,7 @@ def _peel(adj: dict[int, set[int]], p: int, exact: bool):
         if low:
             degree, v = heappop(low)
             yield ReductionStep(LEAF if degree else ISOLATED, (v,))
+            dirty.discard(v)
             cut = [(u, v) for u in adj.pop(v)]
         else:
             ear = _next_ear(adj, chains, dirty, p, exact)
@@ -257,11 +243,11 @@ def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
 def certificate_or_raise(g: Graph, p: int, exact_ears: bool = False) -> ReductionSequence:
     """The greedy certificate that empties g; raises NotPathDegenerate
     when g is not p-path degenerate."""
-    cert, residual = greedy_reduce(g, p, exact_ears)
-    if residual.n:
+    verdict = is_p_path_degenerate(g, p, exact_ears)
+    if not verdict.degenerate:
         raise NotPathDegenerate(f"graph is not {p}-path degenerate "
-                                f"({residual.n} vertices stay irreducible)")
-    return cert
+                                f"({len(verdict.witness_vertices)} vertices stay irreducible)")
+    return verdict.certificate
 
 
 def is_p_path_degenerate(g: Graph, p: int, exact_ears: bool = False) -> DegeneracyVerdict:
@@ -285,7 +271,7 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
     the chain: every ear of a chain leads to the same next 2-core.  A
     chain holds an ear of length >= p exactly when it is an open chain of
     length >= p, or a loop at a branch vertex or a cycle component of
-    length >= p+1; for `_chain`'s (s, closed) that is
+    length >= p+1; for `graph.chains_through`'s (s, closed) that is
     len(s) - 1 >= p + (s[0] == s[-1]).  So a move deletes a whole chain,
     and the depth-first search keeps an explicit stack of (state, chain
     interior) moves and a set of the states seen: O(states x n) memory.
@@ -310,13 +296,9 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
         if len(seen) > budget:
             raise SearchBudgetExceeded(f"more than {budget} states explored")
         adj = {v: adj[v] & alive for v in alive}
-        walked: set[int] = set()
-        for v in alive:
-            if len(adj[v]) == 2 and v not in walked:
-                s, closed = _chain(adj, v)
-                walked.update(s)
-                if len(s) - 1 >= p + (s[0] == s[-1]):
-                    stack.append((alive, s if closed else s[1:-1]))
+        for s, closed in chains_through(adj, alive):
+            if len(s) - 1 >= p + (s[0] == s[-1]):
+                stack.append((alive, s if closed else s[1:-1]))
     return False
 
 
@@ -359,7 +341,10 @@ def _step_error(adj: dict[int, set[int]], step: ReductionStep, p: int, exact: bo
 
 def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
     """Independent checker: validate every step against the evolving graph
-    and require the final graph to be empty.  Raises CertificateError."""
+    and require the final graph to be empty.  Raises CertificateError, or
+    ValueError when cert.p < 2."""
+    if cert.p < 2:
+        raise ValueError("p must be >= 2")
     adj = _work_adj(g)
     for idx, step in enumerate(cert.steps):
         error = _step_error(adj, step, cert.p, cert.exact_ears)

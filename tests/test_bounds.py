@@ -166,6 +166,12 @@ class TestSubexponentialBound:
         with pytest.raises(ValueError, match="sub-exponential"):
             girth_bound_subexponential(lambda d: 2.0 ** d, 2, r_max=50)
 
+    def test_threshold_past_float_range(self):
+        # 2.0 ** 1024 overflows; the integer 2 ** 1024 exceeds 1e308
+        res = girth_bound_subexponential(lambda _r: 1e308, 2)
+        assert res.threshold == 12291 and res.integer_girth_threshold == 12292
+        assert res.provenance == "sub-exponential (r=1024)"
+
     def test_r_starts_at_p(self):
         res = girth_bound_subexponential(lambda _r: 1.0, 4)
         assert res.threshold == (6 * 4 * 4 + 3) * 3

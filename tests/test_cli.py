@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,10 @@ class TestBoundsCommand:
         report = run(["bounds", theorem, "-a", a, "-b", b, "-p", "3"])
         assert not report.ok and report.result["error"] == "ValueError"
 
+    def test_subexponential_past_float_range(self):
+        report = run(["bounds", "subexponential", "-a", "1e308", "-b", "0", "-p", "2"])
+        assert report.ok and report.result["integer_girth_threshold"] == 12292
+
     def test_wcol_rule(self):
         report = run(["bounds", "wcol-rule", "-r", "3", "-q", "4"])
         assert report.result["wcol_bound"] == 6
@@ -250,6 +258,16 @@ class TestVerifyCommand:
         report = run(["verify", "certificate", "--graph", str(gfile),
                       "--input", str(cfile), "-p", "9"])
         assert not report.ok
+
+    @pytest.mark.parametrize("p", ["1", "0"])
+    def test_certificate_refuses_p_below_2(self, tmp_path, p):
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("0 1\n")
+        cfile = tmp_path / "cert.txt"
+        cfile.write_text("L 0\nI 1\n")
+        report = run(["verify", "certificate", "--graph", str(gfile), "--input", str(cfile), "-p", p])
+        assert not report.ok
+        assert report.result == {"error": "ValueError", "message": "p must be >= 2"}
 
     def test_coloring(self, tmp_path):
         from pathdeg import fixture, subdivide
@@ -383,3 +401,16 @@ class TestDeterminismAndExit:
         assert main(["analyze", "--graph", "fixture:k4"]) == 0
         assert main(["color-arb", "-r", "1", "--graph", "fixture:dodecahedron"]) == 1
         capsys.readouterr()
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # the report (about 266 kB) overfills the pipe, so printing it
+        # meets the closed read end
+        argv = ["color-arb", "-r", "2", "--graph", "fixture:dodecahedron", "--subdivide", "600"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                                          os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "pathdeg.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"command: " + " ".join(argv).encode() + b"\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and err == b""

@@ -7,10 +7,9 @@ from pathdeg import INFINITE, CycleCapExceeded, build_graph, complete, cycle, fi
 from pathdeg.graph import (
     blocks,
     chain_graph,
+    chains_through,
     connected_components,
-    count_cycles_via_cycle_space,
     enumerate_cycles,
-    enumerate_cycles_bruteforce,
     girth,
     strict_ears,
     suppressed_multigraph,
@@ -18,6 +17,7 @@ from pathdeg.graph import (
 )
 
 from conftest import random_graph, trees_and_subdivisions
+from cycle_oracle import count_cycles_via_cycle_space, enumerate_cycles_bruteforce
 
 
 class TestBuildGraph:
@@ -191,6 +191,35 @@ class TestWalkChain:
             assert walk_chain(adj, 0, 1) == [1, 2, 3, 4, 0]
             assert walk_chain(adj, 2, 1) == [1, 0, 4, 3, 2]
             assert walk_chain(adj, 5, 7) == [7, 6, 5]
+
+
+def _chain_form(s, closed):
+    """A chain as one value, whichever of its vertices it was found from."""
+    return _canonical(s) if closed else min(tuple(s), tuple(reversed(s)))
+
+
+class TestChainsThrough:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)), st.data())
+    def test_one_chain_per_degree_2_vertex(self, g, data):
+        rings = {frozenset(c) for c in connected_components(g) if all(g.degree(v) == 2 for v in c)}
+        found = list(chains_through(g.adj, range(g.n)))
+        inner = {}
+        for s, closed in found:
+            assert closed == (frozenset(s) in rings)
+            if not closed:
+                assert g.degree(s[0]) != 2 and g.degree(s[-1]) != 2
+            assert all(g.has_edge(a, b) for a, b in zip(s, s[1:] + s[:closed]))
+            for v in s if closed else s[1:-1]:
+                assert g.degree(v) == 2 and v not in inner
+                inner[v] = _chain_form(s, closed)
+        assert sorted(inner) == [v for v in range(g.n) if g.degree(v) == 2]
+        starts = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+        through = [_chain_form(*c) for c in chains_through(g.adj, starts)]
+        assert len(set(through)) == len(through)
+        assert set(through) == {inner[v] for v in starts if v in inner}
+        dict_adj = _both_adjacencies(g)[1]
+        assert [_chain_form(*c) for c in chains_through(dict_adj, starts)] == through
 
 
 class TestEnumerateCycles:

@@ -19,6 +19,7 @@ from pathdeg.reduction import (
     ReductionStep,
     SearchBudgetExceeded,
     backtrack_degenerate,
+    certificate_or_raise,
     find_p_reduction,
     greedy_reduce,
     is_p_path_degenerate,
@@ -228,6 +229,20 @@ class TestCertificates:
     def test_replay_rejects_malformed_vertex_step(self, step):
         with pytest.raises(CertificateError, match="takes exactly one vertex"):
             replay_certificate(path(2), ReductionSequence(p=2, steps=(step,)))
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_replay_rejects_p_below_2(self, p):
+        # at p = 1 the ear E 0 1 has no interior and would replay as a no-op
+        cert = ReductionSequence(p=p, steps=(ReductionStep(EAR, (0, 1)), ReductionStep(LEAF, (0,)),
+                                             ReductionStep(ISOLATED, (1,))))
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            replay_certificate(path(2), cert)
+
+    def test_certificate_or_raise_counts_the_witness(self):
+        g = subdivide(fixture("dodecahedron"), 1)
+        with pytest.raises(NotPathDegenerate, match=r"not 3-path degenerate \(50 vertices stay irreducible\)"):
+            certificate_or_raise(g, 3)
+        assert certificate_or_raise(g, 2) == is_p_path_degenerate(g, 2).certificate
 
     def test_certificates_replay_across_corpus(self, corpus):
         for g in corpus.values():
