@@ -4,6 +4,11 @@ them.
 Every evaluator returns a BoundResult carrying the real threshold and the
 smallest integer girth strictly exceeding it; the theorems guarantee the
 relevant degeneracy for graphs whose girth exceeds the threshold.
+
+W_{-1} is one bisection inside a proven sandwich bracket, run until the
+float midpoint equals an end; no polish step or fallback is needed,
+because the bracket always holds the root and the loop stops at float
+resolution.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ class ExpansionParams:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ValueError("a and b must be positive")
 
     @property
@@ -52,54 +57,29 @@ class BoundResult:
 
 def lambert_w_minus1(t: float) -> float:
     """Lower real branch of the inverse of w -> w*e^w, defined on
-    [-1/e, 0); returns w <= -1 with |w*e^w - t| <= 1e-12.
+    [-1/e, 0); returns w <= -1.
 
-    Bracketing bisection seeded from the sandwich
-    -1 - sqrt(2u) - u < W(-e^{-u-1}) < -1 - sqrt(2u) - 2u/3 (u > 0),
-    polished by Halley iteration away from the branch point.
+    With u = -1 - log(-t), the root lies in the sandwich
+    -1 - sqrt(2u) - u < W(-e^{-u-1}) < -1 - sqrt(2u) - 2u/3 (u > 0), a
+    theorem (Chatzigeorgiou 2013), so bisecting it cannot lose the root.
+    w*e^w decreases on (-inf, -1], so the sign of w*e^w - t at the
+    midpoint picks the half; the loop stops when the float midpoint equals
+    an end, i.e. at float resolution.  Near the branch point (u -> 0) the
+    root is ill-conditioned, so the residual, not w, is what stays small.
     """
     if not (-1.0 / math.e <= t < 0.0):
         raise ValueError(f"W_-1 requires -1/e <= t < 0, got {t}")
-    u = -1.0 - math.log(-t)
-    if u <= 0.0:
-        return -1.0
+    u = max(0.0, -1.0 - math.log(-t))
     lo = -1.0 - math.sqrt(2.0 * u) - u
     hi = -1.0 - math.sqrt(2.0 * u) - (2.0 / 3.0) * u
-
-    def f(w: float) -> float:
-        return w * math.exp(w) - t
-
-    flo, fhi = f(lo), f(hi)
-    # w*e^w decreases toward -1/e as w grows on (-inf, -1]
-    if flo < 0 or fhi > 0:  # sandwich failed numerically; widen
-        lo, hi = -1.0 - math.sqrt(2.0 * u) - 2.0 * u - 1.0, -1.0
-        flo, fhi = f(lo), f(hi)
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm > 0:
+            return mid
+        if mid * math.exp(mid) > t:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(lo)):
-            break
-    w = 0.5 * (lo + hi)
-    if u > 1e-6:  # Halley polish; unstable at the branch point, skip there
-        for _ in range(4):
-            ew = math.exp(w)
-            fw = w * ew - t
-            d1 = ew * (w + 1.0)
-            if d1 == 0.0:
-                break
-            step = fw / (d1 - fw * (w + 2.0) / (2.0 * (w + 1.0)))
-            w -= step
-            if abs(step) < 1e-15 * max(1.0, abs(w)):
-                break
-        if not (lo - 1e-9 <= w <= hi + 1e-9) or abs(w * math.exp(w) - t) > abs(0.5 * (lo + hi) * math.exp(0.5 * (lo + hi)) - t):
-            w = 0.5 * (lo + hi)
-    return min(w, -1.0)
 
 
 def threshold_beta(A: float, B: float) -> float:
@@ -145,7 +125,7 @@ def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
 def girth_bound_minor_closed(d: float, p: int) -> BoundResult:
     """Girth threshold for classes of maximum average degree d:
     (4*log2(d) + 2*log2(min(d, 576)) + 3) * (p-1)."""
-    if d < 2:
+    if not d >= 2:
         raise ValueError("d must be >= 2")
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -176,7 +156,7 @@ def girth_bound_clique(k: int, p: int, gamma: float = 0.638) -> BoundResult:
     dropped, so this is the leading-order evaluation."""
     if k < 5:
         raise ValueError("k must be >= 5")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     d = gamma * k * math.sqrt(math.log2(k))
     inner = girth_bound_minor_closed(d, p)
@@ -187,7 +167,7 @@ def lower_bound_poly(b: float, p: int, alpha: float) -> float:
     """Girth achieved by non-degenerate witnesses in a class of expansion
     O(r^b): -(2b/(alpha*log 2)) * W_-1(-log2/((p-1)*b)) * (p-1).
     alpha = 3/4 reproduces the 8/3 leading constant."""
-    if b <= 0:
+    if not b > 0:
         raise ValueError("b must be positive")
     if not (0 < alpha <= 1):
         raise ValueError("alpha must be in (0, 1]")

@@ -14,6 +14,7 @@ Reports are deterministic key/value documents with a stable field order;
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -199,13 +200,15 @@ def _cmd_bounds(args, _g: None, report: Report) -> None:
         res = bounds_mod.girth_bound_minor_closed(args.d, args.p)
         inputs = {"d": args.d, "p": args.p}
     elif theorem == "subexponential":
-        if args.a <= 0 or args.b < 0:
+        if not args.a > 0 or not args.b >= 0:
             raise ValueError("a must be positive and b non-negative")
-        if args.b > 0:
-            expansion = lambda r: args.a * (r + 0.5) ** args.b  # noqa: E731
-        else:
-            expansion = lambda _r: args.a  # noqa: E731 - constant expansion
-        res = bounds_mod.girth_bound_subexponential(expansion, args.p, args.r_max)
+        # a*(r + 1/2)**b in decimal, so that it compares with the integer
+        # 2**r far past the float range; Emax is raised so that only
+        # r_max ends the search (Python 3.10's localcontext takes no kwargs)
+        a, b, half = decimal.Decimal(args.a), decimal.Decimal(args.b), decimal.Decimal("0.5")
+        with decimal.localcontext() as ctx:
+            ctx.Emax = decimal.MAX_EMAX
+            res = bounds_mod.girth_bound_subexponential(lambda r: a * (r + half) ** b, args.p, args.r_max)
         inputs = {"a": args.a, "b": args.b, "p": args.p, "r_max": args.r_max}
     elif theorem == "clique":
         res = bounds_mod.girth_bound_clique(args.k, args.p, args.gamma)

@@ -64,6 +64,27 @@ class TestLambertW:
         w = lambert_w_minus1(-math.exp(-u - 1.0))
         assert -1 - math.sqrt(2 * u) - u < w < -1 - math.sqrt(2 * u) - (2 / 3) * u
 
+    @pytest.mark.parametrize("u_lo, u_hi, max_ulp", [(1e-3, 700.0, 16), (1e-6, 1e-3, 512)])
+    def test_against_mpmath(self, u_lo, u_hi, max_ulp):
+        mpmath = pytest.importorskip("mpmath")
+        steps = 400
+        for i in range(steps + 1):
+            u = u_lo * (u_hi / u_lo) ** (i / steps)
+            t = -math.exp(-1.0 - u)
+            with mpmath.workdps(40):
+                ref = float(mpmath.lambertw(mpmath.mpf(t), -1).real)
+            assert abs(lambert_w_minus1(t) - ref) <= max_ulp * math.ulp(ref), (u, t)
+
+    def test_floats_just_above_the_branch_point(self):
+        # the root is ill-conditioned here; the residual stays at float level
+        t = -1.0 / math.e
+        for _ in range(1000):
+            t = math.nextafter(t, 0.0)
+            w = lambert_w_minus1(t)
+            u = max(0.0, -1.0 - math.log(-t))
+            assert -1.0 - math.sqrt(2.0 * u) - u <= w <= -1.0 - math.sqrt(2.0 * u) - (2.0 / 3.0) * u <= -1.0
+            assert abs(w * math.exp(w) - t) <= 1e-16
+
 
 class TestThresholdBeta:
     def test_trivial_cases(self):

@@ -230,6 +230,40 @@ class TestBoundsCommand:
         report = run(["bounds", "subexponential", "-a", "1e308", "-b", "0", "-p", "2"])
         assert report.ok and report.result["integer_girth_threshold"] == 12292
 
+    def test_subexponential_past_float_power(self):
+        # (6r + 1/2)**100 overflows a float long before (12r+1)**100 < 2**(r+100)
+        # first holds, at r = 1293 (checked in integers)
+        report = run(["bounds", "subexponential", "-a", "1", "-b", "100", "-p", "2"])
+        assert report.ok and report.result["threshold"] == 15519.0
+        assert report.result["integer_girth_threshold"] == 15520
+        assert report.result["provenance"] == "sub-exponential (r=1293)"
+
+    def test_subexponential_fractional_exponent(self):
+        # 3*(12r + 1/2)**2.5 < 2**r first holds at r = 22: 9*(24r+1)**5 < 2**(2r+5)
+        report = run(["bounds", "subexponential", "-a", "3", "-b", "2.5", "-p", "4"])
+        assert report.ok and report.result["provenance"] == "sub-exponential (r=22)"
+
+    def test_subexponential_huge_exponent_is_a_typed_error(self, capsys):
+        assert main(["bounds", "subexponential", "-b", "1e6"]) == 1
+        out, err = capsys.readouterr()
+        assert "result.error: ValueError\n" in out and "no r <= 10000" in out
+        assert "ok: False" in out and err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["polynomial", "-a", "nan"], "a and b must be positive"),
+        (["polynomial", "-b", "nan"], "a and b must be positive"),
+        (["minor-closed", "-d", "nan"], "d must be >= 2"),
+        (["subexponential", "-a", "nan"], "a must be positive and b non-negative"),
+        (["subexponential", "-b", "nan"], "a must be positive and b non-negative"),
+        (["clique", "--gamma", "nan"], "gamma must be positive"),
+        (["lower-poly", "-b", "nan"], "b must be positive"),
+        (["lower-poly", "--alpha", "nan"], "alpha must be in (0, 1]"),
+    ])
+    def test_nan_parameter_refused_by_its_check(self, argv, message):
+        report = run(["bounds", *argv])
+        assert not report.ok
+        assert report.result == {"error": "ValueError", "message": message}
+
     def test_wcol_rule(self):
         report = run(["bounds", "wcol-rule", "-r", "3", "-q", "4"])
         assert report.result["wcol_bound"] == 6
