@@ -203,11 +203,13 @@ def _cmd_bounds(args, _g: None, report: Report) -> None:
         if not args.a > 0 or not args.b >= 0:
             raise ValueError("a must be positive and b non-negative")
         # a*(r + 1/2)**b in decimal, so that it compares with the integer
-        # 2**r far past the float range; Emax is raised so that only
-        # r_max ends the search (Python 3.10's localcontext takes no kwargs)
+        # 2**r far past the float range; rounding up keeps the envelope at
+        # or above its exact value, and an overflow gives Infinity, which
+        # lets r_max end the search (Python 3.10's localcontext takes no kwargs)
         a, b, half = decimal.Decimal(args.a), decimal.Decimal(args.b), decimal.Decimal("0.5")
         with decimal.localcontext() as ctx:
-            ctx.Emax = decimal.MAX_EMAX
+            ctx.Emax, ctx.rounding = decimal.MAX_EMAX, decimal.ROUND_CEILING
+            ctx.traps[decimal.Overflow] = False
             res = bounds_mod.girth_bound_subexponential(lambda r: a * (r + half) ** b, args.p, args.r_max)
         inputs = {"a": args.a, "b": args.b, "p": args.p, "r_max": args.r_max}
     elif theorem == "clique":

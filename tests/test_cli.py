@@ -243,8 +243,15 @@ class TestBoundsCommand:
         report = run(["bounds", "subexponential", "-a", "3", "-b", "2.5", "-p", "4"])
         assert report.ok and report.result["provenance"] == "sub-exponential (r=22)"
 
-    def test_subexponential_huge_exponent_is_a_typed_error(self, capsys):
-        assert main(["bounds", "subexponential", "-b", "1e6"]) == 1
+    def test_subexponential_power_of_two_constant(self):
+        # a = 2**94 is a float; a*1 rounded to 28 digits to nearest falls
+        # below 2**94, so only an envelope rounded up stops at r = 95
+        report = run(["bounds", "subexponential", "-a", str(2 ** 94), "-b", "0", "-p", "2"])
+        assert report.ok and report.result["provenance"] == "sub-exponential (r=95)"
+
+    @pytest.mark.parametrize("b", ["1e6", "1e18"])
+    def test_subexponential_huge_exponent_is_a_typed_error(self, capsys, b):
+        assert main(["bounds", "subexponential", "-b", b]) == 1
         out, err = capsys.readouterr()
         assert "result.error: ValueError\n" in out and "no r <= 10000" in out
         assert "ok: False" in out and err == ""
