@@ -8,7 +8,10 @@ relevant degeneracy for graphs whose girth exceeds the threshold.
 W_{-1} is one bisection inside a proven sandwich bracket, run until the
 float midpoint equals an end; no polish step or fallback is needed,
 because the bracket always holds the root and the loop stops at float
-resolution.
+resolution.  The bisection works in u = -1 - log(-t), so the polynomial
+threshold hands it u = log(A*C*p) - 1 as a sum of logarithms and never
+forms C = (24*sqrt(2)*a)**(1/b), which overflows for a large a with a
+small b.
 """
 
 from __future__ import annotations
@@ -37,9 +40,15 @@ class ExpansionParams:
         return self.b / LOG2
 
     @property
-    def scale(self) -> float:
-        """C = (24 * sqrt(2) * a) ** (1/b)."""
-        return (24.0 * math.sqrt(2.0) * self.a) ** (1.0 / self.b)
+    def log_scale(self) -> float:
+        """log C = (log(24 * sqrt(2)) + log a) / b, for the scale
+        C = (24 * sqrt(2) * a) ** (1/b), which itself may pass the float
+        range."""
+        return (math.log(24.0 * math.sqrt(2.0)) + math.log(self.a)) / self.b
+
+    def log_acp(self, p: int) -> float:
+        """log(A * C * p), summed in logarithms."""
+        return math.log(self.log_slope) + self.log_scale + math.log(p)
 
 
 @dataclass(frozen=True)
@@ -57,26 +66,37 @@ class BoundResult:
 
 def lambert_w_minus1(t: float) -> float:
     """Lower real branch of the inverse of w -> w*e^w, defined on
-    [-1/e, 0); returns w <= -1.
-
-    With u = -1 - log(-t), the root lies in the sandwich
-    -1 - sqrt(2u) - u < W(-e^{-u-1}) < -1 - sqrt(2u) - 2u/3 (u > 0), a
-    theorem (Chatzigeorgiou 2013), so bisecting it cannot lose the root.
-    w*e^w decreases on (-inf, -1], so the sign of w*e^w - t at the
-    midpoint picks the half; the loop stops when the float midpoint equals
-    an end, i.e. at float resolution.  Near the branch point (u -> 0) the
-    root is ill-conditioned, so the residual, not w, is what stays small.
-    """
+    [-1/e, 0); returns w <= -1.  Computed as `_w_minus1_of_u` at
+    u = -1 - log(-t), clamped at 0 against roundoff at t = -1/e."""
     if not (-1.0 / math.e <= t < 0.0):
         raise ValueError(f"W_-1 requires -1/e <= t < 0, got {t}")
-    u = max(0.0, -1.0 - math.log(-t))
+    return _w_minus1_of_u(max(0.0, -1.0 - math.log(-t)))
+
+
+def _w_minus1_of_u(u: float) -> float:
+    """W_-1(-e^{-u-1}) for u >= 0, where e^{-u-1} need not be a float.
+
+    The root lies in the sandwich
+    -1 - sqrt(2u) - u < W(-e^{-u-1}) < -1 - sqrt(2u) - 2u/3 (u > 0), a
+    theorem (Chatzigeorgiou 2013), so bisecting it cannot lose the root.
+    On (-inf, -1] the map w -> log(-w) + w + 1 + u increases and is zero
+    at the root, so its sign at the midpoint picks the half; it is summed
+    as log1p(-1 - w) + (w + 1) + u, which keeps its small terms exact near
+    the branch point; no term leaves the float range while 2u is a
+    float.  The loop stops
+    when the float midpoint equals an end, i.e. at float resolution.  Near
+    the branch point (u -> 0) the root is ill-conditioned in t, so there
+    the residual w*e^w - t, not w, is what stays small.
+    """
+    if not u >= 0.0:
+        raise ValueError(f"W_-1 requires u >= 0 (t = -e^(-u-1) >= -1/e), got u = {u}")
     lo = -1.0 - math.sqrt(2.0 * u) - u
     hi = -1.0 - math.sqrt(2.0 * u) - (2.0 / 3.0) * u
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if mid * math.exp(mid) > t:
+        if math.log1p(-1.0 - mid) + (mid + 1.0) + u < 0.0:
             lo = mid
         else:
             hi = mid
@@ -99,12 +119,12 @@ def threshold_beta(A: float, B: float) -> float:
 
 def girth_bound_polynomial(params: ExpansionParams, p: int) -> BoundResult:
     """Girth threshold for p-path degeneracy under a polynomial expansion
-    envelope: max(7, 2*floor(-2A * W_-1(-1/(A*C*p))) + 4) * (p-1)."""
+    envelope: max(7, 2*floor(-2A * W_-1(-1/(A*C*p))) + 4) * (p-1), with
+    W_-1 taken at u = log(A*C*p) - 1."""
     if p < 2:
         raise ValueError("p must be >= 2")
     A = params.log_slope
-    C = params.scale
-    w = lambert_w_minus1(-1.0 / (A * C * p))
+    w = _w_minus1_of_u(params.log_acp(p) - 1.0)
     gamma = 2 * math.floor(-2.0 * A * w) + 4
     g_p = max(7, gamma) * (p - 1)
     return BoundResult.of(float(g_p), "polynomial-expansion")
@@ -113,12 +133,12 @@ def girth_bound_polynomial(params: ExpansionParams, p: int) -> BoundResult:
 def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
     """Explicit upper envelope for the polynomial-expansion threshold
     divided by (p-1): 4b*log2(p) + 4A*sqrt(2*log(A*C*p) - 2)
-    + 4b*log2(A*C) + 4."""
+    + 4b*log2(A*C) + 4, in logarithms of A and C."""
     A = params.log_slope
-    C = params.scale
+    log_ac = math.log(A) + params.log_scale
     return (4.0 * params.b * math.log2(p)
-            + 4.0 * A * math.sqrt(2.0 * math.log(A * C * p) - 2.0)
-            + 4.0 * params.b * math.log2(A * C)
+            + 4.0 * A * math.sqrt(2.0 * params.log_acp(p) - 2.0)
+            + 4.0 * params.b * log_ac / LOG2
             + 4.0)
 
 

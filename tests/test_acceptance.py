@@ -181,7 +181,7 @@ def test_criterion_8_numerics():
         ok = ok and res.threshold == max(7, scan_gamma_oracle(1, 1, p)) * (p - 1)
     p = 2
     while p <= 10 ** 6:
-        w = lambert_w_minus1(-1.0 / (params.log_slope * params.scale * p))
+        w = lambert_w_minus1(-math.exp(-params.log_acp(p)))
         gamma = 2 * math.floor(-2.0 * params.log_slope * w) + 4
         ok = ok and gamma < polynomial_gamma_upper_bound(params, p)
         p = max(p + 1, int(p * 1.3))

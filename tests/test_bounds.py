@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pathdeg.bounds import (
     BoundResult,
     ExpansionParams,
+    _w_minus1_of_u,
     girth_bound_clique,
     girth_bound_minor_closed,
     girth_bound_polynomial,
@@ -75,6 +77,21 @@ class TestLambertW:
                 ref = float(mpmath.lambertw(mpmath.mpf(t), -1).real)
             assert abs(lambert_w_minus1(t) - ref) <= max_ulp * math.ulp(ref), (u, t)
 
+    def test_u_form_against_mpmath_past_float_range(self):
+        # u = 1e300 is t = -e^(-1e300-1), far below the smallest float
+        mpmath = pytest.importorskip("mpmath")
+        steps = 400
+        for i in range(steps + 1):
+            u = 10.0 ** (-12 + 312 * i / steps)
+            with mpmath.workdps(60):
+                ref = float(mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(u)), -1).real)
+            assert abs(_w_minus1_of_u(u) - ref) <= 4 * math.ulp(ref), u
+
+    def test_u_below_zero_refused(self):
+        for bad in (-1e-300, -1.0, math.nan):
+            with pytest.raises(ValueError, match="u >= 0"):
+                _w_minus1_of_u(bad)
+
     def test_floats_just_above_the_branch_point(self):
         # the root is ill-conditioned here; the residual stays at float level
         t = -1.0 / math.e
@@ -137,6 +154,15 @@ class TestPolynomialBound:
         res = girth_bound_polynomial(ExpansionParams(a, b), p)
         assert res.threshold == max(7, scan_gamma_oracle(a, b, p)) * (p - 1)
 
+    @pytest.mark.parametrize("a,b,p,threshold", [(1e300, 0.001, 2, 4010), (1e300, 0.001, 7, 24060),
+                                                  (1e300, 0.01, 3, 8020), (10, 0.002, 5, 144)])
+    def test_matches_scan_oracle_past_float_scale(self, a, b, p, threshold):
+        # C = (24*sqrt(2)*a)**(1/b) is far past the float range here
+        assert ExpansionParams(a, b).log_scale > math.log(sys.float_info.max)
+        res = girth_bound_polynomial(ExpansionParams(a, b), p)
+        assert res.threshold == max(7, scan_gamma_oracle(a, b, p)) * (p - 1) == threshold
+        assert math.isfinite(polynomial_gamma_upper_bound(ExpansionParams(a, b), p))
+
     def test_shape(self):
         params = ExpansionParams(2.5, 1.2)
         for p in (2, 5, 11):
@@ -147,10 +173,10 @@ class TestPolynomialBound:
 
     def test_uniform_envelope(self):
         params = ExpansionParams(1, 1)
-        A, C = params.log_slope, params.scale
+        A = params.log_slope
         p = 2
         while p <= 10 ** 6:
-            w = lambert_w_minus1(-1.0 / (A * C * p))
+            w = lambert_w_minus1(-math.exp(-params.log_acp(p)))
             gamma = 2 * math.floor(-2.0 * A * w) + 4
             assert gamma < polynomial_gamma_upper_bound(params, p)
             p = max(p + 1, int(p * 1.35))

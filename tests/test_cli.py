@@ -216,6 +216,11 @@ class TestBoundsCommand:
         report = run(["bounds", "polynomial", "-a", "1", "-b", "1", "-p", "2"])
         assert report.result["threshold"] == 40
 
+    def test_polynomial_past_float_scale(self):
+        # (24*sqrt(2)*1e300)**1000 overflows a float; its logarithm does not
+        report = run(["bounds", "polynomial", "-a", "1e300", "-b", "0.001", "-p", "2"])
+        assert report.ok and report.result["integer_girth_threshold"] == 4011
+
     def test_subexponential_constant(self):
         report = run(["bounds", "subexponential", "-a", "1", "-b", "0", "-p", "2"])
         assert report.result["threshold"] == 27

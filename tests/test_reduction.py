@@ -1,14 +1,18 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathdeg
-from pathdeg import build_graph, complete, cycle, fixture, girth, path, subdivide, theta
+from pathdeg import build_graph, complete, cycle, fixture, girth, path, reduction, subdivide, theta
+from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring
 from pathdeg.graph import induced_subgraph, suppressed_multigraph
+from pathdeg.wcol import WcolBoundParams, weak_order
 from pathdeg.reduction import (
     EAR,
     ISOLATED,
@@ -29,7 +33,7 @@ from pathdeg.reduction import (
 )
 
 import ear_oracle
-from conftest import random_graph, trees_and_subdivisions
+from conftest import random_graph, random_graphs, trees_and_subdivisions
 
 
 def run_capped(code: str) -> str:
@@ -346,8 +350,97 @@ class TestDeterministicConstructions:
     def test_greedy_certificates_identical(self):
         g = subdivide(fixture("dodecahedron"), 2)
         a, _ = greedy_reduce(g, 3)
-        b, _ = greedy_reduce(g, 3)
+        b, _ = greedy_reduce(build_graph(g.n, g.edges), 3)
         assert a.steps == b.steps
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Counts greedy engine runs: calls of reduction._peel."""
+    runs = []
+    peel = reduction._peel
+
+    def counted(adj, p, exact):
+        runs.append((p, exact))
+        return peel(adj, p, exact)
+
+    monkeypatch.setattr(reduction, "_peel", counted)
+    return runs
+
+
+def _copy(g):
+    return build_graph(g.n, g.edges)
+
+
+class TestOneRunPerGraph:
+    def test_decision_and_both_colorings_share_one_run(self, engine_runs):
+        g = subdivide(fixture("petersen"), 3)
+        verdict = is_p_path_degenerate(g, 4)
+        arb = arboricity_coloring(g, 3)
+        acyclic = acyclic_edge_coloring(g, 3)
+        assert verdict.degenerate
+        assert engine_runs == [(4, False)]
+        assert arb == arboricity_coloring(_copy(g), 3)
+        assert acyclic == acyclic_edge_coloring(_copy(g), 3)
+
+    def test_rebuilt_copy_is_decided_afresh(self, engine_runs):
+        g = subdivide(fixture("petersen"), 3)
+        h = _copy(g)
+        assert h == g and h is not g
+        assert is_p_path_degenerate(g, 4) == is_p_path_degenerate(h, 4)
+        assert engine_runs == [(4, False), (4, False)]
+
+    def test_exact_and_non_exact_kept_apart(self, engine_runs):
+        g = cycle(7)
+        loose = is_p_path_degenerate(g, 3)
+        exact = is_p_path_degenerate(g, 3, exact_ears=True)
+        assert loose.certificate != exact.certificate
+        assert greedy_reduce(g, 3)[0] == loose.certificate
+        assert certificate_or_raise(g, 3, exact_ears=True) == exact.certificate
+        assert engine_runs == [(3, False), (3, True)]
+        assert loose == is_p_path_degenerate(_copy(g), 3)
+        assert exact == is_p_path_degenerate(_copy(g), 3, exact_ears=True)
+
+    def test_failed_decision_is_shared_too(self, engine_runs):
+        g = cycle(5)
+        with pytest.raises(NotPathDegenerate):
+            certificate_or_raise(g, 5)
+        verdict = is_p_path_degenerate(g, 5)
+        assert verdict.witness == g and verdict.witness_vertices == tuple(range(5))
+        assert engine_runs == [(5, False)]
+
+    def test_earlier_graph_is_not_kept_alive(self):
+        g = subdivide(fixture("petersen"), 3)
+        is_p_path_degenerate(g, 4)
+        ref = weakref.ref(g)
+        h = cycle(9)
+        is_p_path_degenerate(h, 4)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(trees_and_subdivisions(max_n=40), random_graphs(max_n=40)), st.data())
+    def test_any_call_order_matches_fresh_copies(self, g, data):
+        ops = [("decide", p, exact) for p in (2, 3, 4) for exact in (False, True)]
+        ops += [("arboricity", r) for r in (1, 2, 3)]
+        ops += [("acyclic", 3), ("weak_order",)]
+
+        def run(op, graph):
+            try:
+                if op[0] == "decide":
+                    return is_p_path_degenerate(graph, op[1], exact_ears=op[2])
+                if op[0] == "arboricity":
+                    return arboricity_coloring(graph, op[1])
+                if op[0] == "acyclic":
+                    return acyclic_edge_coloring(graph, op[1])
+                return weak_order(graph, WcolBoundParams(r=1, q=2))
+            except NotPathDegenerate as exc:
+                return str(exc)
+
+        fresh = {op: run(op, _copy(g)) for op in ops}
+        for op in data.draw(st.permutations(ops)):
+            assert run(op, g) == fresh[op], op
 
 
 class TestLemmaTightness:
