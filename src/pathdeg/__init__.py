@@ -10,11 +10,9 @@ from .graph import (
     INFINITE,
     CycleCapExceeded,
     Graph,
-    StrictEar,
     build_graph,
     enumerate_cycles,
     girth,
-    strict_ears,
     subdivide,
 )
 from .generators import cycle, path, complete, theta, fixture
@@ -54,11 +52,9 @@ __all__ = [
     "INFINITE",
     "CycleCapExceeded",
     "Graph",
-    "StrictEar",
     "build_graph",
     "enumerate_cycles",
     "girth",
-    "strict_ears",
     "subdivide",
     "cycle",
     "path",

@@ -82,18 +82,19 @@ def _w_minus1_of_u(u: float) -> float:
     On (-inf, -1] the map w -> log(-w) + w + 1 + u increases and is zero
     at the root, so its sign at the midpoint picks the half; it is summed
     as log1p(-1 - w) + (w + 1) + u, which keeps its small terms exact near
-    the branch point; no term leaves the float range while 2u is a
-    float.  The loop stops
+    the branch point.  sqrt(2u) is formed as sqrt(2) * sqrt(u) and the
+    midpoint as lo/2 + hi/2, so no term leaves the float range for any
+    finite u.  The loop stops
     when the float midpoint equals an end, i.e. at float resolution.  Near
     the branch point (u -> 0) the root is ill-conditioned in t, so there
     the residual w*e^w - t, not w, is what stays small.
     """
     if not u >= 0.0:
         raise ValueError(f"W_-1 requires u >= 0 (t = -e^(-u-1) >= -1/e), got u = {u}")
-    lo = -1.0 - math.sqrt(2.0 * u) - u
-    hi = -1.0 - math.sqrt(2.0 * u) - (2.0 / 3.0) * u
+    lo = -1.0 - math.sqrt(2.0) * math.sqrt(u) - u
+    hi = -1.0 - math.sqrt(2.0) * math.sqrt(u) - (2.0 / 3.0) * u
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             return mid
         if math.log1p(-1.0 - mid) + (mid + 1.0) + u < 0.0:
@@ -124,7 +125,10 @@ def girth_bound_polynomial(params: ExpansionParams, p: int) -> BoundResult:
     if p < 2:
         raise ValueError("p must be >= 2")
     A = params.log_slope
-    w = _w_minus1_of_u(params.log_acp(p) - 1.0)
+    u = params.log_acp(p) - 1.0
+    if not math.isfinite(u):
+        raise ValueError(f"log(A*C*p) overflows a float for a = {params.a}, b = {params.b}")
+    w = _w_minus1_of_u(u)
     gamma = 2 * math.floor(-2.0 * A * w) + 4
     g_p = max(7, gamma) * (p - 1)
     return BoundResult.of(float(g_p), "polynomial-expansion")
@@ -137,7 +141,7 @@ def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
     A = params.log_slope
     log_ac = math.log(A) + params.log_scale
     return (4.0 * params.b * math.log2(p)
-            + 4.0 * A * math.sqrt(2.0 * params.log_acp(p) - 2.0)
+            + 4.0 * A * math.sqrt(2.0) * math.sqrt(params.log_acp(p) - 1.0)
             + 4.0 * params.b * log_ac / LOG2
             + 4.0)
 

@@ -148,24 +148,20 @@ def _coloring_check(g: Graph, coloring, t: int, report: Report, proper: bool = F
     report.ok = all(v for k, v in checks.items() if k != "cycle_rainbow_threshold")
 
 
-def _cmd_color_arb(args, g: Graph, report: Report) -> None:
-    coloring = arboricity_coloring(g, args.r)
+def _cmd_color(args, g: Graph, report: Report) -> None:
+    """color-arb: r+1 colors, every cycle rainbow up to r+1.  color-acyclic:
+    a proper coloring within max(max degree, r) colors, rainbow up to r."""
+    r = args.r
+    if args.command == "color-arb":
+        coloring, t, proper, palette = arboricity_coloring(g, r), r + 1, False, r + 1
+    else:
+        coloring, t, proper, palette = acyclic_edge_coloring(g, r), r, True, max(g.max_degree(), r)
     report.result = {
-        "r": args.r,
+        "r": r,
         "colors_used": coloring.num_colors,
         "coloring": formats.serialize_coloring(coloring).splitlines(),
     }
-    _coloring_check(g, coloring, args.r + 1, report, palette=args.r + 1)
-
-
-def _cmd_color_acyclic(args, g: Graph, report: Report) -> None:
-    coloring = acyclic_edge_coloring(g, args.r)
-    report.result = {
-        "r": args.r,
-        "colors_used": coloring.num_colors,
-        "coloring": formats.serialize_coloring(coloring).splitlines(),
-    }
-    _coloring_check(g, coloring, args.r, report, proper=True, palette=max(g.max_degree(), args.r))
+    _coloring_check(g, coloring, t, report, proper=proper, palette=palette)
 
 
 def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams, report: Report) -> int:
@@ -191,49 +187,48 @@ def _cmd_wcol_order(args, g: Graph, report: Report) -> None:
     }
 
 
+def _subexponential(a: float, b: float, p: int, r_max: int) -> bounds_mod.BoundResult:
+    """The sub-exponential threshold for the envelope a*(r + 1/2)**b."""
+    if not a > 0 or not b >= 0:
+        raise ValueError("a must be positive and b non-negative")
+    # a*(r + 1/2)**b in decimal, so that it compares with the integer
+    # 2**r far past the float range; rounding up keeps the envelope at
+    # or above its exact value, and an overflow gives Infinity, which
+    # lets r_max end the search (Python 3.10's localcontext takes no kwargs)
+    a, b, half = decimal.Decimal(a), decimal.Decimal(b), decimal.Decimal("0.5")
+    with decimal.localcontext() as ctx:
+        ctx.Emax, ctx.rounding = decimal.MAX_EMAX, decimal.ROUND_CEILING
+        ctx.traps[decimal.Overflow] = False
+        return bounds_mod.girth_bound_subexponential(lambda r: a * (r + half) ** b, p, r_max)
+
+
+# theorem -> (its options, in report order; the evaluator taking them in
+# that order; the result key of a plain number, or None for a BoundResult)
+_BOUNDS = {
+    "polynomial": (("a", "b", "p"),
+                   lambda a, b, p: bounds_mod.girth_bound_polynomial(bounds_mod.ExpansionParams(a, b), p), None),
+    "minor-closed": (("d", "p"), bounds_mod.girth_bound_minor_closed, None),
+    "subexponential": (("a", "b", "p", "r_max"), _subexponential, None),
+    "clique": (("k", "p", "gamma"), bounds_mod.girth_bound_clique, None),
+    "wcol-rule": (("r", "q"), bounds_mod.wcol_girth_rule, "wcol_bound"),
+    "lower-poly": (("b", "p", "alpha"), bounds_mod.lower_bound_poly, "girth_lower_bound"),
+}
+
+
 def _cmd_bounds(args, _g: None, report: Report) -> None:
-    theorem = args.theorem
-    if theorem == "polynomial":
-        res = bounds_mod.girth_bound_polynomial(bounds_mod.ExpansionParams(args.a, args.b), args.p)
-        inputs = {"a": args.a, "b": args.b, "p": args.p}
-    elif theorem == "minor-closed":
-        res = bounds_mod.girth_bound_minor_closed(args.d, args.p)
-        inputs = {"d": args.d, "p": args.p}
-    elif theorem == "subexponential":
-        if not args.a > 0 or not args.b >= 0:
-            raise ValueError("a must be positive and b non-negative")
-        # a*(r + 1/2)**b in decimal, so that it compares with the integer
-        # 2**r far past the float range; rounding up keeps the envelope at
-        # or above its exact value, and an overflow gives Infinity, which
-        # lets r_max end the search (Python 3.10's localcontext takes no kwargs)
-        a, b, half = decimal.Decimal(args.a), decimal.Decimal(args.b), decimal.Decimal("0.5")
-        with decimal.localcontext() as ctx:
-            ctx.Emax, ctx.rounding = decimal.MAX_EMAX, decimal.ROUND_CEILING
-            ctx.traps[decimal.Overflow] = False
-            res = bounds_mod.girth_bound_subexponential(lambda r: a * (r + half) ** b, args.p, args.r_max)
-        inputs = {"a": args.a, "b": args.b, "p": args.p, "r_max": args.r_max}
-    elif theorem == "clique":
-        res = bounds_mod.girth_bound_clique(args.k, args.p, args.gamma)
-        inputs = {"k": args.k, "p": args.p, "gamma": args.gamma}
-    elif theorem == "wcol-rule":
-        value = bounds_mod.wcol_girth_rule(args.r, args.q)
-        report.input = {"r": args.r, "q": args.q}
-        report.result = {"theorem": theorem, "wcol_bound": value}
-        return
-    elif theorem == "lower-poly":
-        value = bounds_mod.lower_bound_poly(args.b, args.p, args.alpha)
-        report.input = {"b": args.b, "p": args.p, "alpha": args.alpha}
-        report.result = {"theorem": theorem, "girth_lower_bound": value}
-        return
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(theorem)
+    names, evaluate, key = _BOUNDS[args.theorem]
+    inputs = {name: getattr(args, name) for name in names}
+    value = evaluate(*inputs.values())
     report.input = inputs
-    report.result = {
-        "theorem": theorem,
-        "threshold": res.threshold,
-        "integer_girth_threshold": res.integer_girth_threshold,
-        "provenance": res.provenance,
-    }
+    if key is not None:
+        report.result = {"theorem": args.theorem, key: value}
+    else:
+        report.result = {
+            "theorem": args.theorem,
+            "threshold": value.threshold,
+            "integer_girth_threshold": value.integer_girth_threshold,
+            "provenance": value.provenance,
+        }
 
 
 def _cmd_verify(args, g: Graph, report: Report) -> None:
@@ -333,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "analyze": _cmd_analyze,
     "check": _cmd_check,
-    "color-arb": _cmd_color_arb,
-    "color-acyclic": _cmd_color_acyclic,
+    "color-arb": _cmd_color,
+    "color-acyclic": _cmd_color,
     "wcol-order": _cmd_wcol_order,
     "bounds": _cmd_bounds,
     "verify": _cmd_verify,

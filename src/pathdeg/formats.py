@@ -3,10 +3,16 @@ for reduction certificates, edge colorings, and vertex orders.
 
 graph6 follows the standard 6-bit encoding: N(n) header then the upper
 triangle of the adjacency matrix in column-major order, padded with zeros
-to a multiple of six bits, each chunk offset by 63.
+to a multiple of six bits, each chunk offset by 63.  Both directions use
+one bit index, k = j(j-1)/2 + i for the pair i < j, and touch only the
+bits of edges, so memory is proportional to the graph6 string, not to
+the n(n-1)/2 vertex pairs.
 """
 
 from __future__ import annotations
+
+import math
+import re
 
 from .colorings import EdgeColoring
 from .graph import Graph, build_graph, normalize_edge
@@ -82,28 +88,31 @@ def _g6_number(n: int) -> str:
 
 
 def to_graph6(g: Graph) -> str:
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = val << 1 | b
-        chunks.append(chr(val + 63))
-    return _g6_number(g.n) + "".join(chunks)
+    """The graph6 string of g: bit k = j(j-1)/2 + i of the body is the pair
+    i < j, and each edge adds its bit to a body of '?' (a zero chunk)."""
+    nbits = g.n * (g.n - 1) // 2
+    body = bytearray(b"?" * ((nbits + 5) // 6))
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] += 32 >> k % 6
+    return _g6_number(g.n) + body.decode()
+
+
+_OUT_OF_RANGE = re.compile("[^?-~]")  # outside chr(63)..chr(126)
+_NONZERO_CHUNK = re.compile("[^?]")
 
 
 def parse_graph6(text: str) -> Graph:
+    """The graph of a graph6 string, with or without its `>>graph6<<`
+    header.  Only the body's nonzero chunks are read; a set bit k is the
+    pair i < j with j the largest integer such that j(j-1)/2 <= k, and
+    i = k - j(j-1)/2."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise FormatError("empty graph6 string")
-    if any(not (63 <= ord(c) <= 126) for c in s):
+    if _OUT_OF_RANGE.search(s):
         raise FormatError("graph6 byte out of range 63..126")
     if s[0] == chr(126):
         if len(s) >= 2 and s[1] == chr(126):
@@ -121,19 +130,17 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 bit vector has {len(body)} bytes, expected {need}")
-    bits = []
-    for c in body:
-        val = ord(c) - 63
-        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
-        raise FormatError("nonzero padding bits in graph6 string")
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    for chunk in _NONZERO_CHUNK.finditer(body):
+        q = chunk.start()
+        val = ord(body[q]) - 63
+        for r in range(6):
+            if val & 32 >> r:
+                k = 6 * q + r
+                if k >= nbits:
+                    raise FormatError("nonzero padding bits in graph6 string")
+                j = (1 + math.isqrt(8 * k + 1)) // 2
+                edges.append((k - j * (j - 1) // 2, j))
     return build_graph(n, edges)
 
 

@@ -56,26 +56,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class StrictEar:
-    """Path whose internal vertices all have degree 2 in the ambient graph
-    and whose endpoints are distinct."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -283,22 +263,6 @@ def suppressed_multigraph(adj, branch: list[int]) -> list[list[int]]:
     for s, _ in chains_through(adj, inner):
         chains.append(s if s[0] <= s[-1] else s[::-1])
     return chains
-
-
-def strict_ears(g: Graph) -> list[StrictEar]:
-    """All maximal strict ears whose endpoints have degree != 2: the
-    chains of suppressed_multigraph with an interior and distinct ends.
-    The branch vertices are listed in increasing order, so each chain
-    starts at its smaller end.
-
-    Each internal degree-2 vertex lies on at most one returned ear.  Pure
-    degree-2 cycles and loops hanging at a single branch vertex contribute
-    nothing here; fixed-length ear segments inside such cycles are the
-    reduction engine's business.
-    """
-    branch = [v for v in range(g.n) if g.degree(v) != 2]
-    ears = sorted(tuple(c) for c in suppressed_multigraph(g.adj, branch) if len(c) > 2 and c[0] != c[-1])
-    return [StrictEar(vertices=ear) for ear in ears]
 
 
 def blocks(edges) -> list[list[tuple[int, int]]]:

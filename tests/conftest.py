@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import pathdeg
 from pathdeg import build_graph, complete, cycle, fixture, path, theta
 from pathdeg.graph import chain_graph
 from pathdeg.enumeration import builtin_corpus
@@ -148,3 +153,19 @@ def degenerate_subdivisions(draw, r, min_n=100, max_n=400):
     perm = list(range(g.n + len(pendants)))
     rnd.shuffle(perm)
     return build_graph(len(perm), [(perm[u], perm[v]) for u, v in sorted(g.edges) + pendants])
+
+
+def run_capped(code: str) -> str:
+    """Run `code` in a child interpreter that caps its own address space at
+    1 GiB, so a runaway search fails there instead of exhausting memory."""
+    pytest.importorskip("resource")
+    paths = [str(Path(pathdeg.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    prelude = ("import resource\n"
+               "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+               "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout

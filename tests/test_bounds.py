@@ -78,11 +78,11 @@ class TestLambertW:
             assert abs(lambert_w_minus1(t) - ref) <= max_ulp * math.ulp(ref), (u, t)
 
     def test_u_form_against_mpmath_past_float_range(self):
-        # u = 1e300 is t = -e^(-1e300-1), far below the smallest float
+        # u = 1e300 is t = -e^(-1e300-1), far below the smallest float;
+        # at u = 1e308 and above, 2u itself overflows
         mpmath = pytest.importorskip("mpmath")
         steps = 400
-        for i in range(steps + 1):
-            u = 10.0 ** (-12 + 312 * i / steps)
+        for u in [10.0 ** (-12 + 312 * i / steps) for i in range(steps + 1)] + [1e308, sys.float_info.max]:
             with mpmath.workdps(60):
                 ref = float(mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(u)), -1).real)
             assert abs(_w_minus1_of_u(u) - ref) <= 4 * math.ulp(ref), u
@@ -155,7 +155,8 @@ class TestPolynomialBound:
         assert res.threshold == max(7, scan_gamma_oracle(a, b, p)) * (p - 1)
 
     @pytest.mark.parametrize("a,b,p,threshold", [(1e300, 0.001, 2, 4010), (1e300, 0.001, 7, 24060),
-                                                  (1e300, 0.01, 3, 8020), (10, 0.002, 5, 144)])
+                                                  (1e300, 0.01, 3, 8020), (10, 0.002, 5, 144),
+                                                  (1e300, 7e-306, 2, 4010)])
     def test_matches_scan_oracle_past_float_scale(self, a, b, p, threshold):
         # C = (24*sqrt(2)*a)**(1/b) is far past the float range here
         assert ExpansionParams(a, b).log_scale > math.log(sys.float_info.max)

@@ -221,6 +221,15 @@ class TestBoundsCommand:
         report = run(["bounds", "polynomial", "-a", "1e300", "-b", "0.001", "-p", "2"])
         assert report.ok and report.result["integer_girth_threshold"] == 4011
 
+    def test_polynomial_past_half_the_float_range(self):
+        # u = log(A*C*p) - 1 is about 1e308 here, so 2u overflows; at
+        # -b 1e-306 log C itself overflows and the evaluator refuses it
+        report = run(["bounds", "polynomial", "-a", "1e300", "-b", "7e-306", "-p", "2"])
+        assert report.ok and report.result["integer_girth_threshold"] == 4011
+        report = run(["bounds", "polynomial", "-a", "1e300", "-b", "1e-306", "-p", "2"])
+        assert not report.ok and report.result["error"] == "ValueError"
+        assert "a = 1e+300, b = 1e-306" in report.result["message"]
+
     def test_subexponential_constant(self):
         report = run(["bounds", "subexponential", "-a", "1", "-b", "0", "-p", "2"])
         assert report.result["threshold"] == 27

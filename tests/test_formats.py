@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathdeg import complete, cycle, formats, path
+from pathdeg import build_graph, complete, cycle, formats, path
 from pathdeg.colorings import EdgeColoring, arboricity_coloring
 from pathdeg.formats import (
     FormatError,
@@ -22,7 +22,7 @@ from pathdeg.formats import (
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
 from pathdeg.wcol import LinearOrder, WcolBoundParams, weak_order
 
-from conftest import degenerate_subdivisions, random_graphs, trees_and_subdivisions
+from conftest import degenerate_subdivisions, random_graphs, run_capped, trees_and_subdivisions
 
 
 class TestEdgeList:
@@ -96,13 +96,40 @@ class TestGraph6:
             decoded = nx.from_graph6_bytes(to_graph6(g).encode())
             assert frozenset(map(lambda e: (min(e), max(e)), decoded.edges())) == g.edges
 
+    @pytest.mark.parametrize("density", [0.05, 0.7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 300])
+    def test_against_networkx_across_header_sizes(self, n, density):
+        # the one-byte order header ends at n = 62, the four-byte one starts at 63
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(f"{n}:{density}")
+        g = build_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < density])
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges)
+        expected = nx.to_graph6_bytes(ref, header=False).decode().strip()
+        assert to_graph6(g) == expected
+        assert parse_graph6(expected) == g
+        decoded = nx.from_graph6_bytes(to_graph6(g).encode())
+        assert decoded.number_of_nodes() == n
+        assert frozenset((min(e), max(e)) for e in decoded.edges()) == g.edges
+
+    def test_encode_under_memory_cap(self):
+        # 2e8 vertex pairs: one list entry per pair would not fit in 1 GiB
+        out = run_capped("from pathdeg import formats, path\n"
+                         "print(len(formats.to_graph6(path(20000))))\n")
+        assert int(out) == 4 + (20000 * 19999 // 2 + 5) // 6
+
+    def test_decode_under_memory_cap(self):
+        out = run_capped("from pathdeg import formats, path\n"
+                         "text = formats.to_graph6(path(17000))\n"
+                         "print(formats.parse_graph6(text) == path(17000))\n")
+        assert out.strip() == "True"
+
     def test_large_order_header(self):
         g = path(80)
         assert parse_graph6(to_graph6(g)).edges == g.edges
 
     def test_empty_and_singleton(self):
-        from pathdeg import build_graph
-
         for n in (0, 1):
             g = build_graph(n, [])
             assert parse_graph6(to_graph6(g)).n == n

@@ -11,7 +11,6 @@ from pathdeg.graph import (
     connected_components,
     enumerate_cycles,
     girth,
-    strict_ears,
     suppressed_multigraph,
     walk_chain,
 )
@@ -132,39 +131,6 @@ class TestSubdivide:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             subdivide(cycle(3), -1)
-
-
-class TestStrictEars:
-    def test_pure_cycle_has_no_maximal_ear(self):
-        assert strict_ears(cycle(5)) == []
-
-    def test_subdivided_k4(self):
-        ears = strict_ears(subdivide(complete(4), 2))
-        assert len(ears) == 6
-        assert all(e.length == 3 for e in ears)
-        assert {frozenset(e.endpoints) for e in ears} == {
-            frozenset(p) for p in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        }
-
-    def test_loops_are_not_ears(self):
-        # K4 on 0..3, plus a loop of length 3 at vertex 0
-        g = build_graph(6, [*complete(4).edges, (0, 4), (4, 5), (5, 0)])
-        assert strict_ears(g) == []
-
-    def test_star_empty(self):
-        assert strict_ears(build_graph(4, [(0, 1), (0, 2), (0, 3)])) == []
-
-    def test_path_is_one_ear(self):
-        (ear,) = strict_ears(path(4))
-        assert ear.vertices == (0, 1, 2, 3)
-
-    def test_interior_deletion_drops_length_edges(self, rng):
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(3, 9), 0.35)
-            for ear in strict_ears(g):
-                keep = set(range(g.n)) - set(ear.interior)
-                remaining = sum(1 for u, v in g.edges if u in keep and v in keep)
-                assert g.m - remaining == ear.length
 
 
 def _both_adjacencies(g):

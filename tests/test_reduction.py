@@ -1,14 +1,9 @@
 import gc
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pathdeg
 from pathdeg import build_graph, complete, cycle, fixture, girth, path, reduction, subdivide, theta
 from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring
 from pathdeg.graph import induced_subgraph, suppressed_multigraph
@@ -33,23 +28,7 @@ from pathdeg.reduction import (
 )
 
 import ear_oracle
-from conftest import random_graph, random_graphs, trees_and_subdivisions
-
-
-def run_capped(code: str) -> str:
-    """Run `code` in a child interpreter that caps its own address space at
-    1 GiB, so a runaway search fails there instead of exhausting memory."""
-    pytest.importorskip("resource")
-    paths = [str(Path(pathdeg.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    prelude = ("import resource\n"
-               "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-               "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
-               "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n")
-    proc = subprocess.run([sys.executable, "-c", prelude + code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
+from conftest import random_graph, random_graphs, run_capped, trees_and_subdivisions
 
 
 class TestFindStep:
