@@ -5,13 +5,11 @@ Every evaluator returns a BoundResult carrying the real threshold and the
 smallest integer girth strictly exceeding it; the theorems guarantee the
 relevant degeneracy for graphs whose girth exceeds the threshold.
 
-W_{-1} is one bisection inside a proven sandwich bracket, run until the
-float midpoint equals an end; no polish step or fallback is needed,
-because the bracket always holds the root and the loop stops at float
-resolution.  The bisection works in u = -1 - log(-t), so the polynomial
-threshold hands it u = log(A*C*p) - 1 as a sum of logarithms and never
-forms C = (24*sqrt(2)*a)**(1/b), which overflows for a large a with a
-small b.
+x > A*log(x) + B is solved in one place, `_beta`, in the form
+u = B/A + log(A) - 1: 0 for u < 0, else -A*W_{-1}(-e^{-u-1}) by bisection
+in u, so e^{-u-1}, an underflow past u = 745, is never formed.  Nor is
+C = (24*sqrt(2)*a)**(1/b), an overflow for a large a with a small b: the
+polynomial threshold sums u = log(A*C*p) - 1 in logarithms.
 """
 
 from __future__ import annotations
@@ -65,9 +63,9 @@ class BoundResult:
 
 
 def lambert_w_minus1(t: float) -> float:
-    """Lower real branch of the inverse of w -> w*e^w, defined on
-    [-1/e, 0); returns w <= -1.  Computed as `_w_minus1_of_u` at
-    u = -1 - log(-t), clamped at 0 against roundoff at t = -1/e."""
+    """Lower real branch of the inverse of w -> w*e^w on [-1/e, 0), the
+    t-form entry point: `_w_minus1_of_u` at u = -1 - log(-t), clamped at 0
+    against roundoff at t = -1/e.  Returns w <= -1."""
     if not (-1.0 / math.e <= t < 0.0):
         raise ValueError(f"W_-1 requires -1/e <= t < 0, got {t}")
     return _w_minus1_of_u(max(0.0, -1.0 - math.log(-t)))
@@ -84,10 +82,9 @@ def _w_minus1_of_u(u: float) -> float:
     as log1p(-1 - w) + (w + 1) + u, which keeps its small terms exact near
     the branch point.  sqrt(2u) is formed as sqrt(2) * sqrt(u) and the
     midpoint as lo/2 + hi/2, so no term leaves the float range for any
-    finite u.  The loop stops
-    when the float midpoint equals an end, i.e. at float resolution.  Near
-    the branch point (u -> 0) the root is ill-conditioned in t, so there
-    the residual w*e^w - t, not w, is what stays small.
+    finite u.  The loop stops when the float midpoint equals an end, i.e.
+    at float resolution.  Near the branch point (u -> 0) the root is
+    ill-conditioned in t, so there the residual w*e^w - t is what stays small.
     """
     if not u >= 0.0:
         raise ValueError(f"W_-1 requires u >= 0 (t = -e^(-u-1) >= -1/e), got u = {u}")
@@ -103,41 +100,43 @@ def _w_minus1_of_u(u: float) -> float:
             hi = mid
 
 
-def threshold_beta(A: float, B: float) -> float:
-    """Minimal beta >= 0 with x > A*log(x) + B for all x > beta.
-
-    Zero when B < A*(1 - log A); at equality the inequality is tangent at
-    x = A and that point is returned; otherwise -A * W_-1(-e^{-B/A} / A).
-    """
-    if A <= 0:
-        raise ValueError("A must be positive")
-    if B < A * (1.0 - math.log(A)):
+def _beta(A: float, u: float, inputs: str) -> float:
+    """Minimal beta >= 0 with x > A*log(x) + B for all x > beta, for A > 0
+    and u = B/A + log(A) - 1: 0 if u < 0 (x - A*log(x) is least at x = A),
+    else -A*W_-1(-e^{-u-1}); a ValueError naming `inputs` if that is not finite."""
+    if u < 0.0:
         return 0.0
-    arg = -math.exp(-B / A) / A
-    arg = max(arg, -1.0 / math.e)  # clamp roundoff at the tangency
-    return -A * lambert_w_minus1(arg)
+    if u < math.inf and (beta := -A * _w_minus1_of_u(u)) < math.inf:
+        return beta
+    raise ValueError(f"the threshold of x > A*log(x) + B overflows a float for {inputs}")
+
+
+def threshold_beta(A: float, B: float) -> float:
+    """Minimal beta >= 0 with x > A*log(x) + B for all x > beta, for A > 0
+    and B/A finite: `_beta` at u = B/A + log(A) - 1, so zero when
+    B < A*(1 - log A) and the tangent point x = A at equality."""
+    if not A > 0:
+        raise ValueError("A must be positive")
+    return _beta(A, B / A + math.log(A) - 1.0, f"A = {A}, B = {B}")
 
 
 def girth_bound_polynomial(params: ExpansionParams, p: int) -> BoundResult:
     """Girth threshold for p-path degeneracy under a polynomial expansion
-    envelope: max(7, 2*floor(-2A * W_-1(-1/(A*C*p))) + 4) * (p-1), with
-    W_-1 taken at u = log(A*C*p) - 1."""
+    envelope: max(7, 2*floor(-2A * W_-1(-1/(A*C*p))) + 4) * (p-1), the W_-1
+    term being `_beta` at 2A and u = log(A*C*p) - 1, so 7*(p-1) for A*C*p < e."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    A = params.log_slope
-    u = params.log_acp(p) - 1.0
-    if not math.isfinite(u):
-        raise ValueError(f"log(A*C*p) overflows a float for a = {params.a}, b = {params.b}")
-    w = _w_minus1_of_u(u)
-    gamma = 2 * math.floor(-2.0 * A * w) + 4
-    g_p = max(7, gamma) * (p - 1)
-    return BoundResult.of(float(g_p), "polynomial-expansion")
+    gamma = 2 * math.floor(_beta(2.0 * params.log_slope, params.log_acp(p) - 1.0,
+                                 f"a = {params.a}, b = {params.b}, p = {p}")) + 4
+    return BoundResult.of(float(max(7, gamma) * (p - 1)), "polynomial-expansion")
 
 
 def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
     """Explicit upper envelope for the polynomial-expansion threshold
     divided by (p-1): 4b*log2(p) + 4A*sqrt(2*log(A*C*p) - 2)
-    + 4b*log2(A*C) + 4, in logarithms of A and C."""
+    + 4b*log2(A*C) + 4 for A*C*p >= e, in logarithms of A and C."""
+    if params.log_acp(p) < 1.0:
+        raise ValueError(f"the envelope needs A*C*p >= e; a = {params.a}, b = {params.b}, p = {p} give less")
     A = params.log_slope
     log_ac = math.log(A) + params.log_scale
     return (4.0 * params.b * math.log2(p)
@@ -149,8 +148,8 @@ def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
 def girth_bound_minor_closed(d: float, p: int) -> BoundResult:
     """Girth threshold for classes of maximum average degree d:
     (4*log2(d) + 2*log2(min(d, 576)) + 3) * (p-1)."""
-    if not d >= 2:
-        raise ValueError("d must be >= 2")
+    if not 2 <= d < math.inf:
+        raise ValueError("d must be >= 2 and finite")
     if p < 2:
         raise ValueError("p must be >= 2")
     value = (4.0 * math.log2(d) + 2.0 * math.log2(min(d, 576.0)) + 3.0) * (p - 1)
@@ -180,11 +179,10 @@ def girth_bound_clique(k: int, p: int, gamma: float = 0.638) -> BoundResult:
     dropped, so this is the leading-order evaluation."""
     if k < 5:
         raise ValueError("k must be >= 5")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     d = gamma * k * math.sqrt(math.log2(k))
-    inner = girth_bound_minor_closed(d, p)
-    return BoundResult.of(inner.threshold, f"clique-minor-free (k={k}, d={d:.6g})")
+    return BoundResult.of(girth_bound_minor_closed(d, p).threshold, f"clique-minor-free (k={k}, d={d:.6g})")
 
 
 def lower_bound_poly(b: float, p: int, alpha: float) -> float:
@@ -197,11 +195,13 @@ def lower_bound_poly(b: float, p: int, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1]")
     if p < 3:
         raise ValueError("p must be >= 3")
-    arg = -LOG2 / ((p - 1) * b)
-    if arg < -1.0 / math.e:
-        raise ValueError(f"W_-1 argument {arg:.6g} below -1/e; p too small relative to b")
-    w = lambert_w_minus1(arg)
-    return -(2.0 * b / (alpha * LOG2)) * w * (p - 1)
+    t = -LOG2 / ((p - 1) * b)
+    if t == 0.0:
+        raise ValueError(f"(p-1)*b overflows a float for b = {b}, p = {p}")
+    u = -1.0 - math.log(-t)
+    if u < 0.0:
+        raise ValueError(f"W_-1 argument {t:.6g} below -1/e; p too small relative to b")
+    return -(2.0 * b / (alpha * LOG2)) * _w_minus1_of_u(u) * (p - 1)
 
 
 def wcol_girth_rule(r: int, q: int) -> float:

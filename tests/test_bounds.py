@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -22,7 +23,7 @@ from pathdeg.bounds import (
 
 def scan_gamma_oracle(a: float, b: float, p: int) -> int:
     """Scan half-integers for the largest r' violating r' > A log r' + B,
-    independently of the W-based formula."""
+    independently of the W-based formula; 4 when none does (A*C*p < e)."""
     A = b / math.log(2)
     B = math.log(24 * math.sqrt(2) * a * p ** b) / math.log(2)
     best = None
@@ -33,8 +34,7 @@ def scan_gamma_oracle(a: float, b: float, p: int) -> int:
         elif best is not None and rp > 3 * best + 10:
             break
         rp += 0.5
-    assert best is not None
-    return 2 * int(2 * best) + 4
+    return 4 if best is None else 2 * int(2 * best) + 4
 
 
 class TestLambertW:
@@ -136,6 +136,44 @@ class TestThresholdBeta:
             if beta > 0:
                 assert abs(beta - A * math.log(beta) - B) <= 1e-9
 
+    @staticmethod
+    def mpmath_beta(mpmath, A: float, u) -> float:
+        return 0.0 if u < 0 else float(-A * mpmath.lambertw(-mpmath.exp(-1 - u), -1).real)
+
+    @given(st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=-10.0, max_value=1e5))
+    @settings(max_examples=400, deadline=None)
+    def test_against_mpmath_in_u_form(self, log10_a, ratio):
+        # B/A past about 745 is where e^(-B/A) underflows a float
+        mpmath = pytest.importorskip("mpmath")
+        A = 10.0 ** log10_a
+        B = A * ratio
+        beta = threshold_beta(A, B)
+        # the float u = B/A + log(A) - 1 is off by about an ulp of its
+        # largest term, which W_-1 magnifies without bound at u = 0; so
+        # beta must lie, to a few ulp, between the exact answers at u +- du
+        du = 4 * math.ulp(max(abs(B / A), abs(math.log(A)), 1.0))
+        with mpmath.workdps(60):
+            u = mpmath.mpf(B) / A + mpmath.log(A) - 1
+            lo, hi = self.mpmath_beta(mpmath, A, u - du), self.mpmath_beta(mpmath, A, u + du)
+        assert lo - 4 * math.ulp(lo) <= beta <= hi + 4 * math.ulp(hi), (A, B)
+        for eps in (1e-6, 1e-3, 0.5):
+            x = beta + eps * (beta + A)
+            assert x > A * math.log(x) + B, (A, B, x)
+
+    @pytest.mark.parametrize("A, B", [(1.0, 800.0), (0.001, 1.0)])
+    def test_past_the_exp_underflow(self, A, B):
+        # e^(-B/A) underflows to 0.0 here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            ref = self.mpmath_beta(mpmath, A, mpmath.mpf(B) / A + mpmath.log(A) - 1)
+        assert abs(threshold_beta(A, B) - ref) <= 4 * math.ulp(ref)
+
+    def test_overflow_refused_by_name(self):
+        for A, B in ((1.0, math.inf), (1e-300, 1e10), (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match=re.escape(f"A = {A}, B = {B}")):
+                threshold_beta(A, B)
+        assert threshold_beta(1.0, -math.inf) == 0.0
+
 
 class TestPolynomialBound:
     def test_frozen_values(self):
@@ -153,6 +191,21 @@ class TestPolynomialBound:
     def test_matches_scan_oracle_other_params(self, a, b, p):
         res = girth_bound_polynomial(ExpansionParams(a, b), p)
         assert res.threshold == max(7, scan_gamma_oracle(a, b, p)) * (p - 1)
+
+    @pytest.mark.parametrize("a,b,p,threshold", [(0.01, 1, 2, 7), (1e-300, 1e-3, 3, 14)])
+    def test_zero_case_matches_scan_oracle(self, a, b, p, threshold):
+        # A*C*p < e: r' > A log r' + B holds for every r', so gamma = 4
+        params = ExpansionParams(a, b)
+        assert params.log_acp(p) < 1.0
+        res = girth_bound_polynomial(params, p)
+        assert res.threshold == max(7, scan_gamma_oracle(a, b, p)) * (p - 1) == threshold
+        with pytest.raises(ValueError, match=r"needs A\*C\*p >= e"):
+            polynomial_gamma_upper_bound(params, p)
+
+    def test_threshold_past_the_float_range_refused_by_name(self):
+        # -2A*W_-1 is about 1e311 at b = 1e308, though u is finite
+        with pytest.raises(ValueError, match=re.escape("a = 1, b = 1e+308, p = 2")):
+            girth_bound_polynomial(ExpansionParams(1, 1e308), 2)
 
     @pytest.mark.parametrize("a,b,p,threshold", [(1e300, 0.001, 2, 4010), (1e300, 0.001, 7, 24060),
                                                   (1e300, 0.01, 3, 8020), (10, 0.002, 5, 144),
@@ -267,6 +320,12 @@ class TestLowerBoundPoly:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="-1/e"):
             lower_bound_poly(0.1, 3, 1.0)
+
+    def test_overflowing_product_refused_by_name(self):
+        # (p-1)*b is +inf, so W_-1's argument would be -0.0
+        for b, p in ((math.inf, 3), (1e308, 3), (1e305, 10 ** 5)):
+            with pytest.raises(ValueError, match=re.escape(f"b = {b}, p = {p}")):
+                lower_bound_poly(b, p, 0.75)
 
 
 class TestWcolGirthRule:

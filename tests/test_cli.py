@@ -230,6 +230,13 @@ class TestBoundsCommand:
         assert not report.ok and report.result["error"] == "ValueError"
         assert "a = 1e+300, b = 1e-306" in report.result["message"]
 
+    def test_polynomial_zero_case(self):
+        # A*C*p < e: the inequality holds for every r, so gamma = 4 and the
+        # threshold is 7*(p-1)
+        report = run(["bounds", "polynomial", "-a", "0.01", "-b", "1", "-p", "2"])
+        assert report.ok and report.result["threshold"] == 7.0
+        assert report.result["integer_girth_threshold"] == 8
+
     def test_subexponential_constant(self):
         report = run(["bounds", "subexponential", "-a", "1", "-b", "0", "-p", "2"])
         assert report.result["threshold"] == 27
@@ -273,12 +280,16 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("argv, message", [
         (["polynomial", "-a", "nan"], "a and b must be positive"),
         (["polynomial", "-b", "nan"], "a and b must be positive"),
-        (["minor-closed", "-d", "nan"], "d must be >= 2"),
+        (["minor-closed", "-d", "nan"], "d must be >= 2 and finite"),
         (["subexponential", "-a", "nan"], "a must be positive and b non-negative"),
         (["subexponential", "-b", "nan"], "a must be positive and b non-negative"),
-        (["clique", "--gamma", "nan"], "gamma must be positive"),
+        (["clique", "--gamma", "nan"], "gamma must be positive and finite"),
         (["lower-poly", "-b", "nan"], "b must be positive"),
         (["lower-poly", "--alpha", "nan"], "alpha must be in (0, 1]"),
+        (["minor-closed", "-d", "inf"], "d must be >= 2 and finite"),
+        (["clique", "--gamma", "inf"], "gamma must be positive and finite"),
+        (["lower-poly", "-b", "inf", "-p", "3"], "(p-1)*b overflows a float for b = inf, p = 3"),
+        (["polynomial", "-a", "inf"], "the threshold of x > A*log(x) + B overflows a float for a = inf, b = 1.0, p = 2"),
     ])
     def test_nan_parameter_refused_by_its_check(self, argv, message):
         report = run(["bounds", *argv])
