@@ -136,7 +136,7 @@ def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
     divided by (p-1): 4b*log2(p) + 4A*sqrt(2*log(A*C*p) - 2)
     + 4b*log2(A*C) + 4 for A*C*p >= e, in logarithms of A and C."""
     if params.log_acp(p) < 1.0:
-        raise ValueError(f"the envelope needs A*C*p >= e; a = {params.a}, b = {params.b}, p = {p} give less")
+        raise ValueError(f"the envelope needs A*C*p >= e, not met at a = {params.a}, b = {params.b}, p = {p}")
     A = params.log_slope
     log_ac = math.log(A) + params.log_scale
     return (4.0 * params.b * math.log2(p)
