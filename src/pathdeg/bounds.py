@@ -9,7 +9,8 @@ x > A*log(x) + B is solved in one place, `_beta`, in the form
 u = B/A + log(A) - 1: 0 for u < 0, else -A*W_{-1}(-e^{-u-1}) by bisection
 in u, so e^{-u-1}, an underflow past u = 745, is never formed.  Nor is
 C = (24*sqrt(2)*a)**(1/b), an overflow for a large a with a small b: the
-polynomial threshold sums u = log(A*C*p) - 1 in logarithms.
+polynomial threshold sums u = log(A*C*p) - 1 in logarithms.  A girth
+past the float range is refused by a ValueError naming the inputs.
 """
 
 from __future__ import annotations
@@ -111,6 +112,18 @@ def _beta(A: float, u: float, inputs: str) -> float:
     raise ValueError(f"the threshold of x > A*log(x) + B overflows a float for {inputs}")
 
 
+def _times_p_minus_1(value, p: int, inputs: str, name: str = "the girth") -> float:
+    """float(value * (p-1)), the form every girth below takes; a ValueError
+    naming `inputs` if that passes the float range."""
+    try:
+        product = float(value * (p - 1))
+    except OverflowError:       # an int past the float range
+        product = math.inf
+    if product < math.inf:
+        return product
+    raise ValueError(f"{name} overflows a float for {inputs}")
+
+
 def threshold_beta(A: float, B: float) -> float:
     """Minimal beta >= 0 with x > A*log(x) + B for all x > beta, for A > 0
     and B/A finite: `_beta` at u = B/A + log(A) - 1, so zero when
@@ -126,9 +139,9 @@ def girth_bound_polynomial(params: ExpansionParams, p: int) -> BoundResult:
     term being `_beta` at 2A and u = log(A*C*p) - 1, so 7*(p-1) for A*C*p < e."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    gamma = 2 * math.floor(_beta(2.0 * params.log_slope, params.log_acp(p) - 1.0,
-                                 f"a = {params.a}, b = {params.b}, p = {p}")) + 4
-    return BoundResult.of(float(max(7, gamma) * (p - 1)), "polynomial-expansion")
+    inputs = f"a = {params.a}, b = {params.b}, p = {p}"
+    gamma = 2 * math.floor(_beta(2.0 * params.log_slope, params.log_acp(p) - 1.0, inputs)) + 4
+    return BoundResult.of(_times_p_minus_1(max(7, gamma), p, inputs), "polynomial-expansion")
 
 
 def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
@@ -152,7 +165,7 @@ def girth_bound_minor_closed(d: float, p: int) -> BoundResult:
         raise ValueError("d must be >= 2 and finite")
     if p < 2:
         raise ValueError("p must be >= 2")
-    value = (4.0 * math.log2(d) + 2.0 * math.log2(min(d, 576.0)) + 3.0) * (p - 1)
+    value = _times_p_minus_1(4.0 * math.log2(d) + 2.0 * math.log2(min(d, 576.0)) + 3.0, p, f"d = {d}, p = {p}")
     return BoundResult.of(value, "minor-closed")
 
 
@@ -195,13 +208,12 @@ def lower_bound_poly(b: float, p: int, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1]")
     if p < 3:
         raise ValueError("p must be >= 3")
-    t = -LOG2 / ((p - 1) * b)
-    if t == 0.0:
-        raise ValueError(f"(p-1)*b overflows a float for b = {b}, p = {p}")
+    t = -LOG2 / _times_p_minus_1(b, p, f"b = {b}, p = {p}", "(p-1)*b")
     u = -1.0 - math.log(-t)
     if u < 0.0:
         raise ValueError(f"W_-1 argument {t:.6g} below -1/e; p too small relative to b")
-    return -(2.0 * b / (alpha * LOG2)) * _w_minus1_of_u(u) * (p - 1)
+    return _times_p_minus_1(-(2.0 * b / (alpha * LOG2)) * _w_minus1_of_u(u), p,
+                            f"b = {b}, p = {p}, alpha = {alpha}")
 
 
 def wcol_girth_rule(r: int, q: int) -> float:

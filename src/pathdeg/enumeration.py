@@ -1,4 +1,4 @@
-"""Isomorph-free enumeration of small graphs and a canonical-form helper.
+"""The shipped small-graph corpus and a canonical-form helper.
 
 The canonical key is computed by color refinement plus individualization:
 refine vertex colors by neighborhood color multisets, branch on the first
@@ -6,9 +6,11 @@ non-singleton color class, and take the minimum adjacency bitstring over
 all discrete refinements.  A branch is skipped when its vertex is a twin
 of one already tried in that class.  Exact for the tiny orders used here.
 
-`connected_graphs` regenerates the corpus from scratch; the package ships
-the result for n <= 8 as data/connected_graphs_le8.g6 so tests can load
-it instead of spending a minute rebuilding it.
+`builtin_corpus` loads data/connected_graphs_le8.g6, every connected graph
+on at most 8 vertices.  The tests prove the file complete: each graph is
+connected, the count per order is `CONNECTED_COUNTS` (OEIS A001349), and
+all canonical keys are distinct, so each order holds every isomorphism
+class exactly once.  The generator that wrote the file is in git history.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 from importlib import resources
 
 from .formats import parse_graph6
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
-ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def _masks(g: Graph) -> tuple[int, ...]:
@@ -72,26 +73,22 @@ def _key_from_perm(masks, perm_by_color):
 
 
 def _mask_key(n, masks):
-    """canonical_key on a raw adjacency-mask tuple (enumeration hot path)."""
+    """canonical_key on a raw adjacency-mask tuple: the least leaf key of
+    the refinement tree, searched with an explicit stack, so the depth of
+    the tree is not bounded by the interpreter's recursion limit."""
+    stack = [[0] * n]           # the first refinement ranks the degrees
     best = None
-
-    def search(colors):
-        nonlocal best
-        colors = _refine(masks, colors)
+    while stack:
+        colors = _refine(masks, stack.pop())
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
         if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            key = _key_from_perm(masks, perm)
+            key = _key_from_perm(masks, sorted(range(n), key=lambda v: colors[v]))
             if best is None or key < best:
                 best = key
-            return
+            continue
         tried: list[int] = []
         for v in target:
             # a twin of a vertex already tried repeats its subtree: swapping
@@ -99,65 +96,13 @@ def _mask_key(n, masks):
             if any(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u in tried):
                 continue
             tried.append(v)
-            branched = [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)]
-            search(branched)
-
-    deg_colors = [bin(m).count("1") for m in masks]
-    order = sorted(set(deg_colors))
-    ranks = {d: i for i, d in enumerate(order)}
-    search([ranks[d] for d in deg_colors])
+            stack.append([c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)])
     return best
 
 
 def canonical_key(g: Graph):
     """Hashable key identical for isomorphic graphs of the same order."""
     return (g.n, _mask_key(g.n, _masks(g)))
-
-
-def all_graphs(n: int):
-    """All graphs on n vertices up to isomorphism, as adjacency-mask
-    tuples, generated level by level (by edge count) with canonical-form
-    deduplication."""
-    if n == 0:
-        return
-    level = {(_mask_key(n, tuple([0] * n))): tuple([0] * n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    while level:
-        yield from level.values()
-        nxt: dict[int, tuple[int, ...]] = {}
-        for masks in level.values():
-            for i, j in pairs:
-                if masks[i] >> j & 1:
-                    continue
-                grown = list(masks)
-                grown[i] |= 1 << j
-                grown[j] |= 1 << i
-                grown_t = tuple(grown)
-                key = _mask_key(n, grown_t)
-                if key not in nxt:
-                    nxt[key] = grown_t
-        level = nxt
-
-
-def _masks_to_graph(n, masks) -> Graph:
-    edges = []
-    for v in range(n):
-        m = masks[v] >> (v + 1)
-        w = v + 1
-        while m:
-            if m & 1:
-                edges.append((v, w))
-            m >>= 1
-            w += 1
-    return build_graph(n, edges)
-
-
-def connected_graphs(n: int):
-    """All connected graphs on exactly n vertices, up to isomorphism."""
-    for masks in all_graphs(n):
-        g = _masks_to_graph(n, masks)
-        if is_connected(g):
-            yield g
 
 
 def builtin_corpus() -> list[Graph]:

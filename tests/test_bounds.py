@@ -206,6 +206,10 @@ class TestPolynomialBound:
         # -2A*W_-1 is about 1e311 at b = 1e308, though u is finite
         with pytest.raises(ValueError, match=re.escape("a = 1, b = 1e+308, p = 2")):
             girth_bound_polynomial(ExpansionParams(1, 1e308), 2)
+        # beta is finite here, but max(7, gamma)*(p-1) is not
+        for a, b, p in ((0.01, 1e300, 10 ** 6), (1, 1, 10 ** 320)):
+            with pytest.raises(ValueError, match=re.escape(f"a = {a}, b = {b}, p = {p}")):
+                girth_bound_polynomial(ExpansionParams(a, b), p)
 
     @pytest.mark.parametrize("a,b,p,threshold", [(1e300, 0.001, 2, 4010), (1e300, 0.001, 7, 24060),
                                                   (1e300, 0.01, 3, 8020), (10, 0.002, 5, 144),
@@ -252,6 +256,12 @@ class TestMinorClosedBound:
     def test_scales_with_p(self):
         one = girth_bound_minor_closed(8, 2).threshold
         assert girth_bound_minor_closed(8, 5).threshold == pytest.approx(4 * one)
+
+    def test_overflow_refused_by_name(self):
+        # p-1 itself passes the float range, or only the product does
+        for p in (10 ** 320, 10 ** 308):
+            with pytest.raises(ValueError, match=re.escape(f"d = 6, p = {p}")):
+                girth_bound_minor_closed(6, p)
 
 
 class TestSubexponentialBound:
@@ -301,6 +311,10 @@ class TestCliqueBound:
         with pytest.raises(ValueError):
             girth_bound_clique(4, 2)
 
+    def test_overflow_refused_by_name(self):
+        with pytest.raises(ValueError, match=re.escape(f"p = {10 ** 320}")):
+            girth_bound_clique(5, 10 ** 320)
+
 
 class TestLowerBoundPoly:
     def test_theorem_constant_via_alpha(self):
@@ -323,9 +337,14 @@ class TestLowerBoundPoly:
 
     def test_overflowing_product_refused_by_name(self):
         # (p-1)*b is +inf, so W_-1's argument would be -0.0
-        for b, p in ((math.inf, 3), (1e308, 3), (1e305, 10 ** 5)):
+        for b, p in ((math.inf, 3), (1e308, 3), (1e305, 10 ** 5), (1.0, 10 ** 320)):
             with pytest.raises(ValueError, match=re.escape(f"b = {b}, p = {p}")):
                 lower_bound_poly(b, p, 0.75)
+
+    def test_infinite_girth_refused_by_name(self):
+        # (p-1)*b is finite, the witness girth is not
+        with pytest.raises(ValueError, match=re.escape("b = 1e+307, p = 3, alpha = 0.75")):
+            lower_bound_poly(1e307, 3, 0.75)
 
 
 class TestWcolGirthRule:

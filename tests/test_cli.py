@@ -290,6 +290,9 @@ class TestBoundsCommand:
         (["clique", "--gamma", "inf"], "gamma must be positive and finite"),
         (["lower-poly", "-b", "inf", "-p", "3"], "(p-1)*b overflows a float for b = inf, p = 3"),
         (["polynomial", "-a", "inf"], "the threshold of x > A*log(x) + B overflows a float for a = inf, b = 1.0, p = 2"),
+        (["polynomial", "-a", "0.01", "-b", "1e300", "-p", "1000000"],
+         "the girth overflows a float for a = 0.01, b = 1e+300, p = 1000000"),
+        (["lower-poly", "-b", "1e307", "-p", "3"], "the girth overflows a float for b = 1e+307, p = 3, alpha = 0.75"),
     ])
     def test_nan_parameter_refused_by_its_check(self, argv, message):
         report = run(["bounds", *argv])
@@ -303,6 +306,26 @@ class TestBoundsCommand:
     def test_lower_poly(self):
         report = run(["bounds", "lower-poly", "-b", "1", "-p", "3", "--alpha", "1"])
         assert report.result["girth_lower_bound"] == pytest.approx(8.0, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        [theorem] for theorem in ("polynomial", "minor-closed", "subexponential", "clique", "wcol-rule", "lower-poly")
+    ] + [
+        ["polynomial", "-a", "1e300", "-b", "7e-306", "-p", "2"],
+        ["polynomial", "-a", "0.01", "-b", "1e300", "-p", "1000000"],
+        ["minor-closed", "-d", "1e308", "-p", str(10 ** 308)],
+        ["clique", "-p", str(10 ** 320)],
+        ["subexponential", "-a", "1e308", "-b", "0"],
+        ["lower-poly", "-b", "1e307", "-p", "3"],
+        ["lower-poly", "-b", "1", "-p", str(10 ** 320)],
+        ["lower-poly", "-b", "inf", "-p", "3"],
+        ["polynomial", "-a", "nan"],
+    ])
+    def test_json_report_is_strict(self, argv, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        main(["bounds", "--json", *argv])
+        json.loads(capsys.readouterr().out, parse_constant=refuse)
 
 
 class TestVerifyCommand:

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathdeg import build_graph, complete, cycle
-from pathdeg.enumeration import (
-    ALL_GRAPH_COUNTS,
-    CONNECTED_COUNTS,
-    all_graphs,
-    canonical_key,
-    connected_graphs,
-)
+from pathdeg.enumeration import CONNECTED_COUNTS, canonical_key
 from pathdeg.graph import is_connected
 
 from conftest import star
@@ -84,6 +78,11 @@ class TestCanonicalKey:
             keys.add(canonical_key(g))
         assert len(keys) == len(graphs)
 
+    def test_deep_refinement_tree(self):
+        # each of the 1100 levels individualizes one vertex, past the
+        # default recursion limit
+        assert canonical_key(build_graph(1100, [])) == (1100, 0)
+
     def test_order_matters(self):
         assert canonical_key(build_graph(3, [])) != canonical_key(build_graph(4, []))
 
@@ -98,25 +97,6 @@ class TestCanonicalKey:
         assert (canonical_key(g) == canonical_key(h)) == nx.is_isomorphic(*as_nx)
 
 
-class TestGeneration:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_counts_small(self, n):
-        assert sum(1 for _ in all_graphs(n)) == ALL_GRAPH_COUNTS[n]
-        assert sum(1 for _ in connected_graphs(n)) == CONNECTED_COUNTS[n]
-
-    def test_counts_n6(self):
-        assert sum(1 for _ in connected_graphs(6)) == CONNECTED_COUNTS[6]
-
-    def test_generated_graphs_are_distinct(self):
-        keys = [canonical_key(g) for g in connected_graphs(5)]
-        assert len(keys) == len(set(keys))
-
-    def test_contains_known_graphs(self):
-        keys = {canonical_key(g) for g in connected_graphs(5)}
-        assert canonical_key(cycle(5)) in keys
-        assert canonical_key(complete(5)) in keys
-
-
 class TestBuiltinCorpus:
     def test_counts_per_order(self, exhaustive_corpus):
         by_n = {}
@@ -127,11 +107,18 @@ class TestBuiltinCorpus:
     def test_all_connected(self, exhaustive_corpus):
         assert all(is_connected(g) for g in exhaustive_corpus)
 
-    def test_no_isomorphic_duplicates_upto6(self, exhaustive_corpus):
-        keys = [canonical_key(g) for g in exhaustive_corpus if g.n <= 6]
-        assert len(keys) == len(set(keys))
+    def test_no_isomorphic_duplicates(self, exhaustive_corpus):
+        # with the counts above, distinct keys put every isomorphism class
+        # of each order in the corpus exactly once
+        keys = {canonical_key(g) for g in exhaustive_corpus}
+        assert len(keys) == len(exhaustive_corpus)
 
-    def test_matches_regeneration_upto6(self, exhaustive_corpus):
-        regen = {canonical_key(g) for n in range(1, 7) for g in connected_graphs(n)}
-        shipped = {canonical_key(g) for g in exhaustive_corpus if g.n <= 6}
-        assert regen == shipped
+    def test_matches_the_graph_atlas(self, exhaustive_corpus):
+        # the Atlas of Graphs (Read & Wilson) lists every graph on at most
+        # 7 vertices once, disconnected ones included
+        nx = pytest.importorskip("networkx")
+        atlas = nx.graph_atlas_g()
+        keys = [canonical_key(build_graph(a.number_of_nodes(), list(a.edges()))) for a in atlas]
+        assert len(set(keys)) == len(atlas) == 1253
+        connected = {key for key, a in zip(keys, atlas) if a.number_of_nodes() and nx.is_connected(a)}
+        assert connected == {canonical_key(g) for g in exhaustive_corpus if g.n <= 7}
