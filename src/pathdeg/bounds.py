@@ -9,8 +9,9 @@ x > A*log(x) + B is solved in one place, `_beta`, in the form
 u = B/A + log(A) - 1: 0 for u < 0, else -A*W_{-1}(-e^{-u-1}) by bisection
 in u, so e^{-u-1}, an underflow past u = 745, is never formed.  Nor is
 C = (24*sqrt(2)*a)**(1/b), an overflow for a large a with a small b: the
-polynomial threshold sums u = log(A*C*p) - 1 in logarithms.  A girth
-past the float range is refused by a ValueError naming the inputs.
+polynomial threshold sums u = log(A*C*p) - 1 in logarithms.  A girth,
+clique degree or weak-coloring bound past the float range is refused by
+a ValueError naming the inputs.
 """
 
 from __future__ import annotations
@@ -112,15 +113,15 @@ def _beta(A: float, u: float, inputs: str) -> float:
     raise ValueError(f"the threshold of x > A*log(x) + B overflows a float for {inputs}")
 
 
-def _times_p_minus_1(value, p: int, inputs: str, name: str = "the girth") -> float:
-    """float(value * (p-1)), the form every girth below takes; a ValueError
-    naming `inputs` if that passes the float range."""
+def _finite(compute, inputs: str, name: str = "the girth") -> float:
+    """float(compute()), for compute() such as a girth value * (p-1); a
+    ValueError naming `inputs` if that passes the float range."""
     try:
-        product = float(value * (p - 1))
+        value = float(compute())
     except OverflowError:       # an int past the float range
-        product = math.inf
-    if product < math.inf:
-        return product
+        value = math.inf
+    if value < math.inf:
+        return value
     raise ValueError(f"{name} overflows a float for {inputs}")
 
 
@@ -141,7 +142,7 @@ def girth_bound_polynomial(params: ExpansionParams, p: int) -> BoundResult:
         raise ValueError("p must be >= 2")
     inputs = f"a = {params.a}, b = {params.b}, p = {p}"
     gamma = 2 * math.floor(_beta(2.0 * params.log_slope, params.log_acp(p) - 1.0, inputs)) + 4
-    return BoundResult.of(_times_p_minus_1(max(7, gamma), p, inputs), "polynomial-expansion")
+    return BoundResult.of(_finite(lambda: max(7, gamma) * (p - 1), inputs), "polynomial-expansion")
 
 
 def polynomial_gamma_upper_bound(params: ExpansionParams, p: int) -> float:
@@ -165,8 +166,8 @@ def girth_bound_minor_closed(d: float, p: int) -> BoundResult:
         raise ValueError("d must be >= 2 and finite")
     if p < 2:
         raise ValueError("p must be >= 2")
-    value = _times_p_minus_1(4.0 * math.log2(d) + 2.0 * math.log2(min(d, 576.0)) + 3.0, p, f"d = {d}, p = {p}")
-    return BoundResult.of(value, "minor-closed")
+    value = 4.0 * math.log2(d) + 2.0 * math.log2(min(d, 576.0)) + 3.0
+    return BoundResult.of(_finite(lambda: value * (p - 1), f"d = {d}, p = {p}"), "minor-closed")
 
 
 def girth_bound_subexponential(expansion, p: int, r_max: int = 10_000) -> BoundResult:
@@ -194,7 +195,7 @@ def girth_bound_clique(k: int, p: int, gamma: float = 0.638) -> BoundResult:
         raise ValueError("k must be >= 5")
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    d = gamma * k * math.sqrt(math.log2(k))
+    d = _finite(lambda: gamma * k * math.sqrt(math.log2(k)), f"k = {k}, gamma = {gamma}", "d")
     return BoundResult.of(girth_bound_minor_closed(d, p).threshold, f"clique-minor-free (k={k}, d={d:.6g})")
 
 
@@ -208,12 +209,12 @@ def lower_bound_poly(b: float, p: int, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1]")
     if p < 3:
         raise ValueError("p must be >= 3")
-    t = -LOG2 / _times_p_minus_1(b, p, f"b = {b}, p = {p}", "(p-1)*b")
+    t = -LOG2 / _finite(lambda: b * (p - 1), f"b = {b}, p = {p}", "(p-1)*b")
     u = -1.0 - math.log(-t)
     if u < 0.0:
         raise ValueError(f"W_-1 argument {t:.6g} below -1/e; p too small relative to b")
-    return _times_p_minus_1(-(2.0 * b / (alpha * LOG2)) * _w_minus1_of_u(u), p,
-                            f"b = {b}, p = {p}, alpha = {alpha}")
+    return _finite(lambda: -(2.0 * b / (alpha * LOG2)) * _w_minus1_of_u(u) * (p - 1),
+                   f"b = {b}, p = {p}, alpha = {alpha}")
 
 
 def wcol_girth_rule(r: int, q: int) -> float:
@@ -221,9 +222,12 @@ def wcol_girth_rule(r: int, q: int) -> float:
     q: r+2+floor(log2((q-1)/(q-r))), which is r+2 when q >= 2r.  Computed
     in integers, since floor(log2 y) = floor(log2 floor(y)) for y >= 1.
     This is the one place the bound is written; `wcol.wreach_bound_ok`
-    applies it at every radius."""
+    applies it at every radius; a ValueError naming r and q if the bound
+    passes the float range."""
     if q <= r:
         raise ValueError("q must exceed r")
     if q >= 2 * r:          # also covers r <= 0, where (q-1)/(q-r) < 1
-        return float(r + 2)
-    return float(r + 1 + ((q - 1) // (q - r)).bit_length())
+        bound = r + 2
+    else:
+        bound = r + 1 + ((q - 1) // (q - r)).bit_length()
+    return _finite(lambda: bound, f"r = {r}, q = {q}", "the bound")

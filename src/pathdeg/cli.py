@@ -1,14 +1,14 @@
-"""Command-line surface.
+"""Command-line surface: `pathdeg -h` lists the commands and
+`pathdeg <command> -h` a command's options.
 
-Commands: analyze, check, color-arb, color-acyclic, wcol-order, bounds,
-verify, density.  Every constructive output (certificate, coloring,
-order) is re-verified in-process before it is emitted and the verdict is
-part of the report; the exit status is 0 exactly when all requested
-verifications pass.
+Every constructive output (certificate, coloring, order) is re-verified
+in-process before it is emitted and the verdict is part of the report;
+the exit status is 0 exactly when all requested verifications pass.
 
 Reports are deterministic key/value documents with a stable field order;
---json switches to strict JSON.  Graphs come from edge-list files,
-`fixture:NAME`, or `g6:STRING`, optionally subdivided with --subdivide.
+--json, before or after the command, switches to strict JSON.  Graphs
+come from edge-list files, `fixture:NAME`, or `g6:STRING`, optionally
+subdivided with --subdivide.
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ class Report:
     ok: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "result": self.result,
-            "verification": self.verification,
-            "ok": self.ok,
-        }
+        return dict(vars(self))
 
     def render(self, as_json: bool) -> str:
         doc = self.to_dict()
@@ -263,37 +257,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit the report as strict JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_opts(p):
-        p.add_argument("--graph", required=True,
-                       help="edge-list file path, fixture:NAME, or g6:STRING")
-        p.add_argument("--subdivide", type=int, default=0, metavar="K",
-                       help="subdivide every edge K times after loading")
+    def command(name, help, handler, graph=True, targets=None):
+        """The subparser `name`, dispatching to `handler`: a leading
+        `target` among `targets` if given, then the graph options."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if targets:
+            p.add_argument("target", choices=targets)
+        if graph:
+            p.add_argument("--graph", required=True,
+                           help="edge-list file path, fixture:NAME, or g6:STRING")
+            p.add_argument("--subdivide", type=int, default=0, metavar="K",
+                           help="subdivide every edge K times after loading")
+        return p
 
-    p = sub.add_parser("analyze", help="order, size, girth, mad summary")
-    add_graph_opts(p)
+    command("analyze", "order, size, girth, mad summary", _cmd_analyze)
 
-    p = sub.add_parser("check", help="decide p-path degeneracy")
-    add_graph_opts(p)
+    p = command("check", "decide p-path degeneracy", _cmd_check)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--exact-ears", action="store_true")
     p.add_argument("--oracle", action="store_true", help="force the backtracking oracle")
 
-    p = sub.add_parser("color-arb", help="cycle-rainbow coloring with r+1 colors")
-    add_graph_opts(p)
+    p = command("color-arb", "cycle-rainbow coloring with r+1 colors", _cmd_color)
     p.add_argument("-r", type=int, required=True)
 
-    p = sub.add_parser("color-acyclic", help="proper cycle-rainbow coloring")
-    add_graph_opts(p)
+    p = command("color-acyclic", "proper cycle-rainbow coloring", _cmd_color)
     p.add_argument("-r", type=int, required=True)
 
-    p = sub.add_parser("wcol-order", help="weak-coloring order construction")
-    add_graph_opts(p)
+    p = command("wcol-order", "weak-coloring order construction", _cmd_wcol_order)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
 
-    p = sub.add_parser("bounds", help="evaluate a girth threshold")
-    p.add_argument("theorem", choices=["polynomial", "minor-closed", "subexponential",
-                                       "clique", "wcol-rule", "lower-poly"])
+    p = command("bounds", "evaluate a girth threshold", _cmd_bounds, graph=False)
+    p.add_argument("theorem", choices=list(_BOUNDS))
     p.add_argument("-a", type=float, default=1.0)
     p.add_argument("-b", type=float, default=1.0)
     p.add_argument("-d", type=float, default=6.0)
@@ -305,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.75)
     p.add_argument("--r-max", type=int, default=10_000)
 
-    p = sub.add_parser("verify", help="re-verify an emitted artifact")
-    p.add_argument("target", choices=["certificate", "coloring", "order"])
-    add_graph_opts(p)
+    p = command("verify", "re-verify an emitted artifact", _cmd_verify, targets=["certificate", "coloring", "order"])
     p.add_argument("--input", required=True, help="path to the artifact file")
     p.add_argument("-p", type=int, default=2)
     p.add_argument("-r", type=int, default=2)
@@ -316,25 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proper", action="store_true")
     p.add_argument("--exact-ears", action="store_true")
 
-    p = sub.add_parser("density", help="mad and optional shallow-minor density")
-    add_graph_opts(p)
+    p = command("density", "mad and optional shallow-minor density", _cmd_density)
     p.add_argument("--nabla", default=None, metavar="R",
                    help="half-integer depth for the brute-force minor density")
     p.add_argument("--cap", type=int, default=300_000)
 
     return parser
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "check": _cmd_check,
-    "color-arb": _cmd_color,
-    "color-acyclic": _cmd_color,
-    "wcol-order": _cmd_wcol_order,
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
-    "density": _cmd_density,
-}
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -356,7 +337,7 @@ def _execute(args: argparse.Namespace, argv: list[str]) -> Report:
         if "graph" in args:
             g = _load_graph(args.graph, args.subdivide)
             report.input = _summary(g)
-        _HANDLERS[args.command](args, g, report)
+        args.handler(args, g, report)
     except Exception as exc:
         report.result = {"error": type(exc).__name__, "message": str(exc)}
         report.ok = False

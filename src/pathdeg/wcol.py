@@ -99,11 +99,14 @@ def wreach_all(g: Graph, pi: LinearOrder, x: int) -> list[set[int]]:
 
 def wreach_maxima(g: Graph, pi: LinearOrder, r: int) -> list[int]:
     """max |WReach_x| over all vertices for x = 0..r (0 on the empty
-    graph), read off one depth-r search per source."""
+    graph), read off one depth-r search per source.  No weak-reach
+    distance exceeds n-1, so the maxima are counted up to there only."""
     if r < 0:
         raise ValueError("r must be >= 0")
     reach = _weak_reach(g, pi, r)
-    return [max((sum(d <= x for d in row.values()) for row in reach), default=0) for x in range(r + 1)]
+    top = min(r, max(g.n - 1, 0))
+    maxima = [max((sum(d <= x for d in row.values()) for row in reach), default=0) for x in range(top + 1)]
+    return maxima + maxima[-1:] * (r - top)
 
 
 def wcol_under_order(g: Graph, pi: LinearOrder, r: int) -> int:

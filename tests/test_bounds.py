@@ -312,8 +312,12 @@ class TestCliqueBound:
             girth_bound_clique(4, 2)
 
     def test_overflow_refused_by_name(self):
-        with pytest.raises(ValueError, match=re.escape(f"p = {10 ** 320}")):
-            girth_bound_clique(5, 10 ** 320)
+        # p-1 passes the float range, or k does, or only the degree d
+        for k, p, gamma, inputs in ((5, 10 ** 320, 0.638, f"p = {10 ** 320}"),
+                                    (10 ** 320, 2, 0.638, f"d overflows a float for k = {10 ** 320}, gamma = 0.638"),
+                                    (10 ** 8, 2, 1e300, "d overflows a float for k = 100000000, gamma = 1e+300")):
+            with pytest.raises(ValueError, match=re.escape(inputs)):
+                girth_bound_clique(k, p, gamma)
 
 
 class TestLowerBoundPoly:
@@ -367,6 +371,14 @@ class TestWcolGirthRule:
         for r in range(-3, 6):
             for q in range(max(r + 1, 2 * r), 2 * r + 8):
                 assert wcol_girth_rule(r, q) == r + 2, (r, q)
+
+
+    def test_overflow_refused_by_name(self):
+        # r + 2, with or without the log term, or a negative r + 2
+        big = 10 ** 320
+        for r, q in ((big, big + 1), (big, 2 * big), (-big, 4)):
+            with pytest.raises(ValueError, match=re.escape(f"the bound overflows a float for r = {r}, q = {q}")):
+                wcol_girth_rule(r, q)
 
 
 class TestBoundResult:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +294,11 @@ class TestBoundsCommand:
         (["polynomial", "-a", "0.01", "-b", "1e300", "-p", "1000000"],
          "the girth overflows a float for a = 0.01, b = 1e+300, p = 1000000"),
         (["lower-poly", "-b", "1e307", "-p", "3"], "the girth overflows a float for b = 1e+307, p = 3, alpha = 0.75"),
+        pytest.param(["clique", "-k", str(10 ** 320)], f"d overflows a float for k = {10 ** 320}, gamma = 0.638",
+                     id="clique-k-past-the-float-range"),
+        pytest.param(["wcol-rule", "-r", str(10 ** 320), "-q", str(10 ** 320 + 1)],
+                     f"the bound overflows a float for r = {10 ** 320}, q = {10 ** 320 + 1}",
+                     id="wcol-rule-r-past-the-float-range"),
     ])
     def test_nan_parameter_refused_by_its_check(self, argv, message):
         report = run(["bounds", *argv])
@@ -503,3 +509,78 @@ class TestDeterminismAndExit:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1 and err == b""
+
+
+class TestCommandSurface:
+    """The parser as a user meets it: each command's help, the usage
+    errors, and dispatch to the command's handler with --json after it."""
+
+    OPTIONS = {
+        "analyze": [],
+        "check": ["-p", "--exact-ears", "--oracle"],
+        "color-arb": ["-r"],
+        "color-acyclic": ["-r"],
+        "wcol-order": ["-r", "-q"],
+        "verify": ["--input", "-p", "-r", "-q", "--threshold", "--proper", "--exact-ears"],
+        "density": ["--nabla", "--cap"],
+    }
+    BOUNDS_OPTIONS = ["-a", "-b", "-d", "-k", "-p", "-r", "-q", "--gamma", "--alpha", "--r-max"]
+    # the arguments besides --graph that each graph command requires
+    REQUIRED = {"check": ["-p", "2"], "color-arb": ["-r", "1"], "color-acyclic": ["-r", "1"],
+                "wcol-order": ["-r", "1", "-q", "2"], "verify": ["order", "--input", "order.txt"]}
+
+    @staticmethod
+    def exit_code(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    @pytest.mark.parametrize("command", [*OPTIONS, "bounds"])
+    def test_help_names_every_option(self, command, capsys):
+        assert self.exit_code([command, "-h"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.startswith(f"usage: pathdeg {command} ")
+        if command == "bounds":
+            expected = ["-h", *self.BOUNDS_OPTIONS]
+        else:
+            expected = ["-h", "--graph", "--subdivide", *self.OPTIONS[command]]
+        assert sorted(set(re.findall(r"(?<![\w-])--?[\w-]+", usage))) == sorted(expected)
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert self.exit_code(["-h"]) == 0
+        assert "{analyze,check,color-arb,color-acyclic,wcol-order,bounds,verify,density}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_missing_graph_exits_2_naming_it(self, command, capsys):
+        assert self.exit_code([command, *self.REQUIRED.get(command, [])]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"pathdeg {command}: error: the following arguments are required: --graph\n")
+
+    def test_unknown_theorem_lists_the_six_in_order(self, capsys):
+        assert self.exit_code(["bounds", "nope"]) == 2
+        err = capsys.readouterr().err
+        listed = re.findall(r"[\w-]+", err.split("choose from", 1)[1])
+        assert listed == ["polynomial", "minor-closed", "subexponential", "clique", "wcol-rule", "lower-poly"]
+        assert listed == list(cli._BOUNDS)
+
+    @pytest.mark.parametrize("argv, check", [
+        (["analyze", "--graph", "fixture:k4"], lambda doc: doc["result"] == {"max_degree": 3}),
+        (["check", "-p", "2", "--graph", "fixture:k4"], lambda doc: doc["result"]["engine"] == "greedy"),
+        (["color-arb", "-r", "2", "--graph", "g6:Bw", "--subdivide", "3"],
+         lambda doc: doc["result"]["colors_used"] == 3 and "proper" not in doc["verification"]),
+        (["color-acyclic", "-r", "3", "--graph", "g6:Bw", "--subdivide", "3"],
+         lambda doc: doc["result"]["colors_used"] == 3 and doc["verification"]["proper"] is True),
+        (["wcol-order", "-r", "1", "-q", "2", "--graph", "g6:Bw", "--subdivide", "3"],
+         lambda doc: doc["result"]["wcol_under_order"] == 3),
+        (["verify", "coloring", "--graph", "g6:Bw", "--input", "coloring.txt", "--threshold", "3"],
+         lambda doc: doc["verification"]["cycle_rainbow_ok"] is True),
+        (["density", "--graph", "fixture:k4", "--nabla", "0"], lambda doc: doc["result"]["nabla"] == "3/2"),
+        (["bounds", "wcol-rule", "-r", "3", "-q", "4"], lambda doc: doc["result"]["wcol_bound"] == 6),
+    ])
+    def test_dispatch_with_json_after_the_command(self, argv, check, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "coloring.txt").write_text("0 1 1\n1 2 2\n0 2 3\n")
+        assert main([*argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == " ".join([*argv, "--json"]) and doc["ok"] is True
+        assert check(doc)

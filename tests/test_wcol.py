@@ -50,12 +50,15 @@ class TestWreach:
 
 class TestWcolUnderOrder:
     def test_maxima_per_radius_from_one_search(self, corpus):
+        # radii past the order too, where the maxima stop growing
         rng = random.Random(3)
-        for g in [build_graph(0, []), *corpus.values()]:
+        for g in [build_graph(0, []), build_graph(1, []), path(2), *corpus.values()]:
             seq = list(range(g.n))
             rng.shuffle(seq)
             pi = LinearOrder.from_sequence(seq)
-            assert wreach_maxima(g, pi, 4) == [wcol_under_order(g, pi, x) for x in range(5)]
+            for r in (4, g.n - 1, g.n, g.n + 3):
+                if r >= 0:
+                    assert wreach_maxima(g, pi, r) == [wcol_under_order(g, pi, x) for x in range(r + 1)], (g, r)
 
     def test_single_vertex(self):
         g = build_graph(1, [])
