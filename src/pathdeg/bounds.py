@@ -222,8 +222,8 @@ def wcol_girth_rule(r: int, q: int) -> float:
     q: r+2+floor(log2((q-1)/(q-r))), which is r+2 when q >= 2r.  Computed
     in integers, since floor(log2 y) = floor(log2 floor(y)) for y >= 1.
     This is the one place the bound is written; `wcol.wreach_bound_ok`
-    applies it at every radius; a ValueError naming r and q if the bound
-    passes the float range."""
+    applies it up to radius n-1, where WReach stops growing but the bound
+    does not; a ValueError naming r and q if the bound passes the float range."""
     if q <= r:
         raise ValueError("q must exceed r")
     if q >= 2 * r:          # also covers r <= 0, where (q-1)/(q-r) < 1

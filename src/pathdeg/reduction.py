@@ -137,6 +137,12 @@ def _best_fixed_width(s: list[int], w: int, count: int) -> tuple[int, ...]:
     return min(_window_key(s, i, i + w) for i, pair in enumerate(pairs) if pair == best)
 
 
+def _holds_ear(s: list[int], p: int) -> bool:
+    """Whether a `graph.chains_through` chain s holds an ear of length >= p:
+    an open one of length >= p, a loop or cycle component of length > p."""
+    return len(s) - 1 >= p + (s[0] == s[-1])
+
+
 def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, ...] | None:
     """Key of the smallest applicable ear on one maximal degree-2 chain.
 
@@ -147,15 +153,13 @@ def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, .
     sub-paths of length >= p with an end at s[0] or s[-1] (exact: all its
     sub-paths of length p), except the closed walk of a loop.
     """
+    if not _holds_ear(s, p):
+        return None
     m = len(s) - 1
     if closed:
-        if p > m:
-            return None
         w = p if exact else m
         return _best_fixed_width(s + s[:w], w, len(s))
     loop = s[0] == s[m]
-    if m < p or (loop and m == p):
-        return None
     if exact:
         return _best_fixed_width(s, p, m - p + 1)
     # With one end fixed, the smallest pair has the smallest other end.
@@ -293,13 +297,11 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
     Deleting a vertex of degree <= 1 never hurts, so a state is a 2-core.
     In a 2-core every strict ear's interior lies inside one maximal
     degree-2 chain, and deleting it and peeling again removes the rest of
-    the chain: every ear of a chain leads to the same next 2-core.  A
-    chain holds an ear of length >= p exactly when it is an open chain of
-    length >= p, or a loop at a branch vertex or a cycle component of
-    length >= p+1; for `graph.chains_through`'s (s, closed) that is
-    len(s) - 1 >= p + (s[0] == s[-1]).  So a move deletes a whole chain,
-    and the depth-first search keeps an explicit stack of (state, chain
-    interior) moves and a set of the states seen: O(states x n) memory.
+    the chain: every ear of a chain leads to the same next 2-core.  So a
+    move deletes a whole chain that holds an ear of length >= p (see
+    `_holds_ear`), and the depth-first search keeps an explicit stack of
+    (state, chain interior) moves and a set of the states seen:
+    O(states x n) memory.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -322,7 +324,7 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
             raise SearchBudgetExceeded(f"more than {budget} states explored")
         adj = {v: adj[v] & alive for v in alive}
         for s, closed in chains_through(adj, alive):
-            if len(s) - 1 >= p + (s[0] == s[-1]):
+            if _holds_ear(s, p):
                 stack.append((alive, s if closed else s[1:-1]))
     return False
 

@@ -13,7 +13,7 @@ is 2q with q >= r+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from .bounds import wcol_girth_rule
 from .graph import Graph
@@ -98,38 +98,36 @@ def wreach_all(g: Graph, pi: LinearOrder, x: int) -> list[set[int]]:
 
 
 def wreach_maxima(g: Graph, pi: LinearOrder, r: int) -> list[int]:
-    """max |WReach_x| over all vertices for x = 0..r (0 on the empty
-    graph), read off one depth-r search per source.  No weak-reach
-    distance exceeds n-1, so the maxima are counted up to there only."""
+    """max |WReach_x| over all vertices for x = 0..min(r, n-1), as no
+    weak-reach distance exceeds n-1 (0 on the empty graph): one search per
+    source, then one sorted pass over each row.  The one production count."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    reach = _weak_reach(g, pi, r)
-    top = min(r, max(g.n - 1, 0))
-    maxima = [max((sum(d <= x for d in row.values()) for row in reach), default=0) for x in range(top + 1)]
-    return maxima + maxima[-1:] * (r - top)
+    best = [0] * (min(r, max(g.n - 1, 0)) + 1)
+    for row in _weak_reach(g, pi, len(best) - 1):
+        # after the last entry at distance d, size is the row's |WReach_d|
+        size = 0
+        for d in sorted(row.values()):
+            size += 1
+            if size > best[d]:
+                best[d] = size
+    return list(accumulate(best, max))
 
 
 def wcol_under_order(g: Graph, pi: LinearOrder, r: int) -> int:
-    if g.n == 0:
-        return 0
-    return max(len(s) for s in wreach_all(g, pi, r))
+    return wreach_maxima(g, pi, r)[-1]
 
 
-def wcol_exact(g: Graph, r: int, max_n: int = 9) -> int:
+def wcol_exact(g: Graph, r: int) -> int:
     """Exact weak r-coloring number by brute force over all vertex orders;
     guarded against factorial blowup."""
-    if g.n > max_n:
-        raise ValueError(f"brute force limited to {max_n} vertices")
-    if g.n == 0:
-        return 0
+    if g.n > 9:
+        raise ValueError("brute force limited to 9 vertices")
     best = g.n + 1
     for seq in permutations(range(g.n)):
-        pi = LinearOrder.from_sequence(seq)
-        val = wcol_under_order(g, pi, r)
-        if val < best:
-            best = val
-            if best == 1:
-                break
+        best = min(best, wcol_under_order(g, LinearOrder.from_sequence(seq), r))
+        if best == 1:
+            break
     return best
 
 

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from pathdeg import cli, cycle, fixture, formats, subdivide
+from pathdeg import cli, cycle, fixture, formats, path, subdivide
 from pathdeg.cli import Report, main, run
 from pathdeg.formats import parse_order, serialize_coloring, serialize_edge_list, serialize_order
 from pathdeg.wcol import WcolBoundParams, weak_order, wcol_under_order, wreach_all, wreach_bound_ok
 
-from conftest import random_cubic, triangle_row
+from conftest import random_cubic, run_capped, triangle_row
 
 
 class TestLoadAndAnalyze:
@@ -205,6 +205,28 @@ class TestWreachReports:
         verification = self.reference_verification(g, order, WcolBoundParams(r, q))
         self.assert_same_report(report, Report(" ".join(argv), report.input, {}, verification,
                                                verification["all_within_bound"]))
+
+    def test_radius_past_the_order(self, tmp_path):
+        # no WReach set grows past radius n-1 and the bound only grows, so
+        # a radius far past a 4-vertex path lists radii 0..3 and keeps the
+        # verdicts of r = 3; one entry per radius would pass the 1 GiB cap
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("0 1\n1 2\n2 3\n")
+        ofile = tmp_path / "order.txt"
+        ofile.write_text(serialize_order(weak_order(path(4), WcolBoundParams(3, 100000001))))
+        out = run_capped("import json\nfrom pathdeg.cli import run\n"
+                         f"graph, order = {str(gfile)!r}, {str(ofile)!r}\n"
+                         "for argv in (['wcol-order'], ['verify', 'order', '--input', order]):\n"
+                         "    for r in ('100000000', '3'):\n"
+                         "        report = run([*argv, '-r', r, '-q', '100000001', '--graph', graph])\n"
+                         "        print(json.dumps([report.result, report.verification, report.ok]))\n")
+        reports = [json.loads(line) for line in out.splitlines()]
+        for huge, small in (reports[:2], reports[2:]):
+            result, verification, ok = huge
+            assert ok == small[2] is True, huge
+            assert list(verification["bound_per_radius"]) == ["0", "1", "2", "3"]
+            assert verification["all_within_bound"] == small[1]["all_within_bound"]
+            assert result == small[0] | ({"r": 100000000} if result else {})
 
 
 class TestBoundsCommand:

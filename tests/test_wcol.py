@@ -50,15 +50,21 @@ class TestWreach:
 
 class TestWcolUnderOrder:
     def test_maxima_per_radius_from_one_search(self, corpus):
-        # radii past the order too, where the maxima stop growing
+        # one entry per radius up to n-1, where the maxima stop growing:
+        # the set-valued reference stays fixed from there up to r, so the
+        # last entry is the weak r-coloring number under the order
         rng = random.Random(3)
         for g in [build_graph(0, []), build_graph(1, []), path(2), *corpus.values()]:
             seq = list(range(g.n))
             rng.shuffle(seq)
             pi = LinearOrder.from_sequence(seq)
-            for r in (4, g.n - 1, g.n, g.n + 3):
+            reference = [max((len(s) for s in wreach_all(g, pi, x)), default=0) for x in range(g.n + 5)]
+            for r in (0, 1, 2, 4, g.n - 1, g.n, g.n + 3):
                 if r >= 0:
-                    assert wreach_maxima(g, pi, r) == [wcol_under_order(g, pi, x) for x in range(r + 1)], (g, r)
+                    top = min(r, max(g.n - 1, 0))
+                    assert wreach_maxima(g, pi, r) == reference[:top + 1], (g, r)
+                    assert reference[top:r + 1] == [reference[top]] * (r - top + 1), (g, r)
+                    assert wcol_under_order(g, pi, r) == reference[top], (g, r)
 
     def test_single_vertex(self):
         g = build_graph(1, [])
@@ -131,6 +137,15 @@ class TestTarget:
     def test_params_validate(self):
         with pytest.raises(ValueError):
             WcolBoundParams(r=3, q=3)
+
+    def test_bound_grows_with_the_radius(self):
+        # the WReach maxima stay fixed past radius n-1 while the bound
+        # grows, so checking radii 0..min(r, n-1) decides every radius
+        for q in range(2, 401):
+            params = WcolBoundParams(1, q)
+            assert wreach_bound_ok(1, 0, params) and wreach_bound_ok(3, 1, params), q
+            for x in range(1, q - 1):
+                assert wcol_girth_rule(x, q) < wcol_girth_rule(x + 1, q), (x, q)
 
     @pytest.mark.parametrize("r,q", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6)])
     def test_unit_increments(self, r, q):
