@@ -1,0 +1,15 @@
+"""Every golden report renders byte for byte as stored (see
+golden_reports.py for the cases and how to rewrite them)."""
+
+import pytest
+
+from golden_reports import CASES, GOLDEN, case_id, render
+
+
+def test_no_stray_files():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(case_id(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_id(*case) for case in CASES])
+def test_report_matches_golden(case):
+    assert render(*case) == (GOLDEN / case_id(*case)).read_text()
