@@ -14,8 +14,10 @@ enough distinct colors maintains the cycle conditions:
   min(|C|, r) of them.
 
 `verify_cycle_rainbow` checks the cycle condition by blocks of unions of
-color classes, not by listing cycles: r+1 linear passes per block for an
-arboricity coloring, C(max(degree, r), r-1) for an acyclic one.
+color classes, not by listing cycles: r+1 color subsets per block for an
+arboricity coloring, C(max(degree, r), r-1) for an acyclic one, each
+checked on the block's degree-2 chains (`graph.core_skeleton`) in time
+linear in their number.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, blocks, normalize_edge
+from .graph import Graph, blocks, core_cycles, core_skeleton, normalize_edge
 from .reduction import EAR, LEAF, certificate_or_raise
 
 
@@ -140,6 +142,18 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> bool:
     return all(len(set(c.values())) == len(c) for c in _colors_at(g, coloring))
 
 
+def _chain_blocks(chains, node: int) -> list[list[tuple]]:
+    """The blocks with a cycle of the graph formed by `chains`, each
+    (u, v, length, colors) with u != v, as lists of chains.  chains[j]
+    runs as a 2-edge path through node + j, a node of its own, so that
+    parallel chains stay apart; node must exceed every vertex id."""
+    paths = []
+    for j, (u, v, _, _) in enumerate(chains):
+        paths += ((u, node + j), (v, node + j))
+    # a block of fewer than 3 edges is a bridge
+    return [[chains[x - node] for x in {x for _, x in b}] for b in blocks(paths) if len(b) >= 3]
+
+
 def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     """True iff every simple cycle C carries >= min(|C|, t) distinct
     colors.  Raises ValueError if t < 2, on a coloring that does not cover
@@ -149,20 +163,40 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     of min(k, t-1) of the k colors of B; it repeats a color inside a block
     of the S-colored edges of B.  Conversely, two edges of one color in
     such a block lie on a common cycle (Whitney), which then fails.  So
-    each block with a cycle costs C(k, min(k, t-1)) linear passes.
+    each block with a cycle tries C(k, min(k, t-1)) subsets S.
+
+    The blocks with a cycle are those of the 2-core, found on its chain
+    skeleton (`graph.core_skeleton`).  A loop chain and a core component
+    without a branch vertex are each a block that is one cycle, which
+    fails when it has fewer than min(|C|, t) colors.  The S-colored edges
+    of any other block B are the chains of B with all their colors in S,
+    plus pieces of the other chains, which lie on no cycle of them.  So
+    each S costs O(chains of B): take the blocks of the kept chains, and
+    fail one whose chains hold more edges than colors.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     at = _colors_at(g, coloring)
-    # a block of fewer than 3 edges is a bridge
-    work = [(b, sorted({at[u][v] for u, v in b})) for b in blocks(g.edges) if len(b) >= 3]
-    subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in work)
+    adj, order, _, branch, skeleton, _ = core_skeleton(g)
+    cycles = [[at[x][y] for x, y in zip(s, s[1:] + s[:1])] for s in core_cycles(adj, order, branch, skeleton)]
+    chains = []                     # (u, v, length, colors) per chain that is no loop
+    for c in skeleton:
+        colors = [at[x][y] for x, y in zip(c, c[1:])]
+        if c[0] == c[-1]:
+            cycles.append(colors)
+        else:
+            chains.append((c[0], c[-1], len(colors), frozenset(colors)))
+    cycles = [(len(colors), set(colors)) for colors in cycles]
+    work = [(members, sorted(frozenset().union(*(c[3] for c in members)))) for members in _chain_blocks(chains, g.n)]
+    subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in cycles + work)
     if subsets > MAX_COLOR_SUBSETS:
         raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")
-    for block, palette in work:
+    if any(len(palette) < min(length, t) for length, palette in cycles):
+        return False
+    for members, palette in work:
         for subset in combinations(palette, min(len(palette), t - 1)):
-            chosen = set(subset)
-            for sub in blocks([(u, v) for u, v in block if at[u][v] in chosen]):
-                if len({at[u][v] for u, v in sub}) < len(sub):
+            chosen = frozenset(subset)
+            for held in _chain_blocks([c for c in members if c[3] <= chosen], g.n):
+                if sum(c[2] for c in held) > len(frozenset().union(*(c[3] for c in held))):
                     return False
     return True

@@ -10,7 +10,7 @@ union of cycles, of density exactly 1.
 
 Otherwise an optimal subgraph of the 2-core takes each degree-2 chain
 whole or not at all, so only the branch vertices (core degree >= 3) are
-decided; `graph.suppressed_multigraph` lists the chains between them.
+decided; `graph.core_skeleton` lists the chains between them.
 Dinkelbach (1967) iterations start at the core's density lambda = a/b,
 kept as integers.  Each round asks whether some subgraph
 has positive gain b*edges - a*vertices.  For a set S of branch vertices
@@ -40,7 +40,7 @@ from itertools import product
 from math import prod
 
 from .enumeration import canonical_key
-from .graph import Graph, build_graph, connected_components, peel, suppressed_multigraph
+from .graph import Graph, build_graph, connected_components, core_skeleton
 
 
 class StateCapExceeded(RuntimeError):
@@ -105,25 +105,12 @@ def max_subgraph_density(g: Graph) -> Fraction:
     """Maximum of edges/vertices over nonempty subgraphs, exact."""
     if g.n == 0:
         raise ValueError("empty graph has no nonempty subgraph")
-    adj = g.adj
-    deg = g.degrees()
-    core = [True] * g.n
-    a, b = g.m, g.n
-    stack = [v for v in range(g.n) if deg[v] < 2]
-    if stack:
-        peel(adj, deg, core, stack)
-        adj = [[w for w in nbrs if core[w]] for nbrs in adj]
-        b = sum(core)
-        if not b:
-            c = max(len(comp) for comp in connected_components(g))
-            return Fraction(c - 1, c)
-        a = sum(d for d, alive in zip(deg, core) if alive) // 2
-    branch = [v for v in range(g.n) if core[v] and deg[v] >= 3]
+    _, b, a, branch, _, links = core_skeleton(g)
+    if not b:
+        c = max(len(comp) for comp in connected_components(g))
+        return Fraction(c - 1, c)
     if not branch:
         return Fraction(1)
-    pos = {v: i for i, v in enumerate(branch)}
-    # (i, j, L): a chain of length L between branch[i] and branch[j], i == j for a loop
-    links = [(pos[c[0]], pos[c[-1]], len(c) - 1) for c in suppressed_multigraph(adj, branch)]
     # arcs 4v, 4v+1: source->v and back; 4v+2, 4v+3: v->sink and back;
     # then 4k+2p, 4k+2p+1 join the ends of links[p] (a loop's pair never
     # carries flow).  Arcs into the source or out of the sink lie on no

@@ -1,19 +1,21 @@
 """Immutable simple undirected graphs and the structural primitives used
-throughout the package: girth, subdivision, the degree-2 chain walk and
+throughout the package: subdivision, the degree-2 chain walk and
 chains_through, the one chain decomposition built on it (the reduction
-engine, its oracle, girth and suppressed_multigraph all read it), the
-inverse chain_graph, the 2-core peel, the block decomposition, and
-bounded enumeration of simple cycles.
+engine, its oracle and suppressed_multigraph all read it), the inverse
+chain_graph, the 2-core peel, core_skeleton (the 2-core's chains between
+its branch vertices), girth, the block decomposition, and bounded
+enumeration of simple cycles.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
 to share between computations.
 
-The graphs of interest are mostly subdivision vertices, so `girth` runs
-one BFS per vertex of degree >= 3 and per cycle component, not per
-vertex.  `blocks` is one linear pass.  `enumerate_cycles` is exponential
-in the worst case and serves the tests and the public API only; its
-brute-force oracles live in the tests.
+The graphs of interest are mostly subdivision vertices, so `girth`,
+`density.mad` and `colorings.verify_cycle_rainbow` read core_skeleton,
+whose size is the number of chains, not of vertices; only building it
+walks the whole graph.  `blocks` is one linear pass.  `enumerate_cycles`
+is exponential in the worst case and serves the tests and the public API
+only; its brute-force oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -123,43 +125,6 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def girth(g: Graph):
-    """Length of a shortest cycle, or INFINITE for forests.
-
-    BFS from every vertex of degree >= 3 and from one vertex of each
-    component that is a cycle: a cycle through no vertex of degree >= 3
-    is a whole component.  For each non-tree edge (u,w) seen, the closed
-    walk of length dist[u]+dist[w]+1 contains a cycle no longer than it,
-    and for a root on a shortest cycle the walk is tight.  The cost is
-    O(n + m) per root, so a subdivided graph pays per branch vertex, not
-    per subdivision vertex.
-    """
-    roots = [v for v in range(g.n) if len(g.adj[v]) >= 3]
-    roots += [s[0] for s, closed in chains_through(g.adj, range(g.n)) if closed]
-    best = INFINITE
-    for s in roots:
-        dist = {s: 0}
-        parent = {s: -1}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = dist[u]
-                if du * 2 >= best:
-                    continue
-                for w in g.adj[u]:
-                    if w not in dist:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u] and parent[w] != u:
-                        cand = du + dist[w] + 1
-                        if cand < best:
-                            best = cand
-            frontier = nxt
-    return best
-
-
 def subdivide(g: Graph, k: int) -> Graph:
     """Replace every edge by a path with k internal vertices.
 
@@ -176,10 +141,21 @@ def subdivide(g: Graph, k: int) -> Graph:
 def chain_graph(n: int, links) -> Graph:
     """Vertices 0..n-1 joined by one path of length L per (u, v, L) link.
     The interior vertices are numbered n, n+1, ... in link order; the
-    inverse of suppressed_multigraph."""
+    inverse of suppressed_multigraph.  Raises ValueError, naming the link,
+    on a length below 1, a loop (u == v) shorter than 3 and a second
+    length-1 link between one pair: none has a simple graph to build."""
     edges = []
     nxt = n
+    direct = set()
     for u, v, length in links:
+        if length < 1:
+            raise ValueError(f"link ({u}, {v}, {length}): a chain needs length >= 1")
+        if u == v and length < 3:
+            raise ValueError(f"link ({u}, {v}, {length}): a loop needs length >= 3")
+        if length == 1:
+            if normalize_edge(u, v) in direct:
+                raise ValueError(f"link ({u}, {v}, {length}): a second length-1 link between {u} and {v}")
+            direct.add(normalize_edge(u, v))
         chain = [u, *range(nxt, nxt + length - 1), v]
         nxt += length - 1
         edges.extend(zip(chain, chain[1:]))
@@ -263,6 +239,101 @@ def suppressed_multigraph(adj, branch: list[int]) -> list[list[int]]:
     for s, _ in chains_through(adj, inner):
         chains.append(s if s[0] <= s[-1] else s[::-1])
     return chains
+
+
+def core_skeleton(g: Graph) -> tuple:
+    """g's 2-core on its chain skeleton, the one that `density.mad`, `girth`
+    and `colorings.verify_cycle_rainbow` read, as the tuple
+    (adj, order, size, branch, chains, links):
+
+    - adj: the core's adjacency, in which a vertex off the core keeps at
+      most one neighbour;
+    - order, size: the core's vertex and edge counts;
+    - branch: its vertices of core degree >= 3, in increasing order;
+    - chains: suppressed_multigraph(adj, branch);
+    - links: one (i, j, L) per chain, of length L between branch[i] and
+      branch[j] (i == j for a loop).
+
+    A core component without a branch vertex is a cycle and gives no
+    chain; `core_cycles` lists those.
+    """
+    adj = g.adj
+    deg = g.degrees()
+    core = [True] * g.n
+    order, size = g.n, g.m
+    stack = [v for v in range(g.n) if deg[v] < 2]
+    if stack:
+        peel(adj, deg, core, stack)
+        adj = [[w for w in nbrs if core[w]] for nbrs in adj]
+        order = sum(core)
+        size = sum(d for d, alive in zip(deg, core) if alive) // 2
+    branch = [v for v in range(g.n) if core[v] and deg[v] >= 3]
+    chains = suppressed_multigraph(adj, branch)
+    pos = {v: i for i, v in enumerate(branch)}
+    links = [(pos[c[0]], pos[c[-1]], len(c) - 1) for c in chains]
+    return adj, order, size, branch, chains, links
+
+
+def core_cycles(adj, order: int, branch: list[int], chains: list[list[int]]) -> list[list[int]]:
+    """The components without a branch vertex of a core_skeleton, each a
+    cycle in cyclic order.  The branch vertices and the chains' interiors
+    account for every other core vertex, so most graphs take no walk."""
+    if order == len(branch) + sum(len(c) - 2 for c in chains):
+        return []
+    return [s for s, closed in chains_through(adj, range(len(adj))) if closed]
+
+
+def girth(g: Graph):
+    """Length of a shortest cycle, or INFINITE for forests.
+
+    Every cycle lies in the 2-core.  A core component without a branch
+    vertex is a cycle, and a loop link is one; any other cycle passes a
+    branch vertex.  So from each branch vertex s, search the skeleton by
+    distance buckets (Dial 1969), up to distance best/2.  A link (u, w)
+    scanned from u that reaches an already reached w closes a walk of
+    length dist[u] + L + dist[w] through s, which contains a cycle no
+    longer than it, unless the link is u's tree link, which is skipped;
+    it cannot be w's, which is scanned only once, as it reaches w.  A tree
+    link is known by its position in the link list, so parallel chains
+    stay apart.  Every vertex of a cycle C through s lies
+    within |C|/2 of s, and C has a link off the search tree, so the search
+    ends with best <= |C|.  Hence the search from s may skip the branch
+    vertices searched before it: a shortest cycle is found from the first
+    of its branch vertices.  With unit lengths this is breadth-first
+    search.  Each search costs O(links), so subdividing a graph adds only
+    the O(n) of building the skeleton.
+    """
+    adj, order, _, branch, chains, links = core_skeleton(g)
+    best = min(map(len, core_cycles(adj, order, branch, chains)), default=INFINITE)
+    at: list[list[tuple[int, int, int]]] = [[] for _ in branch]
+    for x, (i, j, L) in enumerate(links):
+        if i == j:
+            best = min(best, L)
+        else:
+            at[i].append((j, L, x))
+            at[j].append((i, L, x))
+    for s in range(len(branch)):
+        dist = {s: 0}
+        via = {s: -1}               # the link each vertex was reached by
+        buckets = {0: [s]}
+        while buckets:
+            d = min(buckets)
+            if 2 * d >= best:
+                break
+            for u in buckets.pop(d):
+                if dist[u] != d:    # reached again, closer, after it was queued here
+                    continue
+                for w, L, x in at[u]:
+                    if x == via[u] or w < s:
+                        continue
+                    dw = dist.get(w)
+                    if dw is not None and d + L + dw < best:
+                        best = d + L + dw
+                    if dw is None or d + L < dw:
+                        dist[w] = d + L
+                        via[w] = x
+                        buckets.setdefault(d + L, []).append(w)
+    return best
 
 
 def blocks(edges) -> list[list[tuple[int, int]]]:

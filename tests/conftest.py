@@ -169,3 +169,29 @@ def run_capped(code: str) -> str:
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
+
+
+@st.composite
+def chain_graphs(draw, max_n=60):
+    """Branch vertices 0..k-1 joined by up to eight chains of mixed
+    lengths (loops of 3 or more edges, parallel chains, at most one chain
+    of length 1 per pair, as chain_graph requires), beside up to two
+    cycle components, with pendant trees hung on, relabeled by a random
+    permutation; at most max_n vertices."""
+    k = draw(st.integers(1, 5))
+    links = []
+    direct = set()
+    for _ in range(draw(st.integers(0, 8))):
+        u, v = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        low = 3 if u == v else 2 if (u, v) in direct else 1
+        length = draw(st.integers(low, low + 5))
+        if length == 1:
+            direct |= {(u, v), (v, u)}
+        links.append((u, v, length))
+    rings = draw(st.lists(st.integers(3, 8), max_size=2))
+    links += [(k + i, k + i, length) for i, length in enumerate(rings)]
+    g = chain_graph(k + len(rings), links)
+    n = g.n + draw(st.integers(0, max(0, min(6, max_n - g.n))))
+    edges = [*g.edges, *((draw(st.integers(0, v - 1)), v) for v in range(g.n, n))]
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])

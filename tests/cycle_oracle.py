@@ -1,16 +1,34 @@
-"""Reference oracles for `pathdeg.graph.enumerate_cycles`: a count over
-the cycle space and a search over every permutation of every vertex
-subset.
+"""Reference oracles for the cycle computations of `pathdeg`.
 
-Both are exponential and serve only to cross-check the enumeration, and
-`girth`, on small graphs.
+- `count_cycles_via_cycle_space` and `enumerate_cycles_bruteforce` check
+  `graph.enumerate_cycles` (and `girth`) on small graphs; both are
+  exponential.
+- `girth_bfs` is the breadth-first girth that `graph.girth` replaced:
+  one BFS over the whole graph per vertex of degree >= 3 and per cycle
+  component.
+- `verify_cycle_rainbow_by_blocks` is the cycle-rainbow check that
+  `colorings.verify_cycle_rainbow` replaced: `blocks` over every edge of
+  a block, once per color subset.
+Both run in polynomial time, so they serve as references at any size
+the tests reach.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations
 
-from pathdeg.graph import Graph, connected_components, from_edges, is_connected, normalize_edge
+from pathdeg.colorings import MAX_COLOR_SUBSETS, EdgeColoring, _colors_at
+from pathdeg.graph import (
+    INFINITE,
+    Graph,
+    blocks,
+    chains_through,
+    connected_components,
+    from_edges,
+    is_connected,
+    normalize_edge,
+)
 
 
 def count_cycles_via_cycle_space(g: Graph) -> int:
@@ -61,3 +79,68 @@ def enumerate_cycles_bruteforce(g: Graph) -> list[tuple[int, ...]]:
                     cycles.append(seq)
     cycles.sort()
     return cycles
+
+
+def girth_bfs(g: Graph):
+    """Length of a shortest cycle, or INFINITE for forests.
+
+    BFS from every vertex of degree >= 3 and from one vertex of each
+    component that is a cycle: a cycle through no vertex of degree >= 3
+    is a whole component.  For each non-tree edge (u,w) seen, the closed
+    walk of length dist[u]+dist[w]+1 contains a cycle no longer than it,
+    and for a root on a shortest cycle the walk is tight.  The cost is
+    O(n + m) per root, so a subdivided graph pays per branch vertex, not
+    per subdivision vertex.
+    """
+    roots = [v for v in range(g.n) if len(g.adj[v]) >= 3]
+    roots += [s[0] for s, closed in chains_through(g.adj, range(g.n)) if closed]
+    best = INFINITE
+    for s in roots:
+        dist = {s: 0}
+        parent = {s: -1}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                du = dist[u]
+                if du * 2 >= best:
+                    continue
+                for w in g.adj[u]:
+                    if w not in dist:
+                        dist[w] = du + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif w != parent[u] and parent[w] != u:
+                        cand = du + dist[w] + 1
+                        if cand < best:
+                            best = cand
+            frontier = nxt
+    return best
+
+
+def verify_cycle_rainbow_by_blocks(g: Graph, coloring: EdgeColoring, t: int) -> bool:
+    """True iff every simple cycle C carries >= min(|C|, t) distinct
+    colors.  Raises ValueError if t < 2, on a coloring that does not cover
+    every edge of g, and if more than MAX_COLOR_SUBSETS subsets are due.
+
+    A failing cycle lies in a block B of g, and its colors fit in a set S
+    of min(k, t-1) of the k colors of B; it repeats a color inside a block
+    of the S-colored edges of B.  Conversely, two edges of one color in
+    such a block lie on a common cycle (Whitney), which then fails.  So
+    each block with a cycle costs C(k, min(k, t-1)) linear passes.
+    """
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    at = _colors_at(g, coloring)
+    # a block of fewer than 3 edges is a bridge
+    work = [(b, sorted({at[u][v] for u, v in b})) for b in blocks(g.edges) if len(b) >= 3]
+    subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in work)
+    if subsets > MAX_COLOR_SUBSETS:
+        raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")
+    for block, palette in work:
+        for subset in combinations(palette, min(len(palette), t - 1)):
+            chosen = set(subset)
+            for sub in blocks([(u, v) for u, v in block if at[u][v] in chosen]):
+                if len({at[u][v] for u, v in sub}) < len(sub):
+                    return False
+    return True

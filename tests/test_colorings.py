@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from pathdeg.colorings import (
 from pathdeg.graph import enumerate_cycles
 from pathdeg.reduction import NotPathDegenerate, is_p_path_degenerate
 
-from conftest import degenerate_subdivisions, random_graph, star, trees_and_subdivisions
+from conftest import chain_graphs, degenerate_subdivisions, random_graph, star, trees_and_subdivisions
+from cycle_oracle import verify_cycle_rainbow_by_blocks
 
 
 def _rainbow_by_enumeration(cycles, coloring: EdgeColoring, t: int) -> bool:
@@ -135,6 +137,78 @@ class TestRainbowAgreesWithEnumeration:
     def test_subdivided_graphs_with_pendant_trees(self, g, t, k, rnd):
         coloring = _random_coloring(g, rnd, k)
         assert verify_cycle_rainbow(g, coloring, t) == _rainbow_by_enumeration(enumerate_cycles(g, 10_000), coloring, t)
+
+
+def _agrees_with_blocks_oracle(g, coloring: EdgeColoring, t: int) -> bool:
+    """verify_cycle_rainbow equals the subset-by-blocks check it replaced,
+    in its verdict or in the refusal it raises; returns the verdict."""
+    try:
+        expected = verify_cycle_rainbow_by_blocks(g, coloring, t)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            verify_cycle_rainbow(g, coloring, t)
+        return None
+    assert verify_cycle_rainbow(g, coloring, t) == expected
+    return expected
+
+
+def _one_edge_mutation(coloring: EdgeColoring, rng: random.Random) -> EdgeColoring:
+    colors = dict(coloring.colors)
+    e = rng.choice(sorted(colors))
+    colors[e] = rng.choice([c for c in range(1, coloring.num_colors + 2) if c != colors[e]])
+    return EdgeColoring(colors)
+
+
+class TestRainbowAgreesWithBlocksOracle:
+    """verify_cycle_rainbow on the chain skeleton against the check that
+    ran `blocks` over every edge once per color subset."""
+
+    def test_random_colorings_of_the_corpus_and_subdivisions(self, exhaustive_corpus):
+        rng = random.Random(21)
+        verdicts = {True: 0, False: 0}
+        for i, base in enumerate(exhaustive_corpus):
+            for k in (0, 1):
+                g = subdivide(base, k)
+                t = 2 + (i + k) % 4
+                verdicts[_agrees_with_blocks_oracle(g, _random_coloring(g, rng, rng.randint(1, t + 2)), t)] += 1
+        assert min(verdicts.values()) > 2000
+
+    def test_built_colorings_of_the_corpus_and_subdivisions(self, exhaustive_corpus):
+        rng = random.Random(22)
+        verdicts = {True: 0, False: 0}
+        for i, base in enumerate(exhaustive_corpus[::4]):
+            for k in (0, 1):
+                g = subdivide(base, k)
+                for build, r in ((arboricity_coloring, 1 + i % 4), (acyclic_edge_coloring, 3 + i % 2)):
+                    if g.m == 0 or not is_p_path_degenerate(g, r + 1).degenerate:
+                        continue
+                    coloring = build(g, r)
+                    for t in range(2, 6):
+                        verdicts[_agrees_with_blocks_oracle(g, coloring, t)] += 1
+                        verdicts[_agrees_with_blocks_oracle(g, _one_edge_mutation(coloring, rng), t)] += 1
+        assert min(verdicts.values()) > 1000
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chain_graphs(), st.integers(2, 5), st.integers(1, 7), st.randoms(use_true_random=False))
+    def test_chain_graphs(self, g, t, k, rnd):
+        _agrees_with_blocks_oracle(g, _random_coloring(g, rnd, k), t)
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    @pytest.mark.parametrize("name", ["dodecahedron", "petersen", "heawood", "mcgee", "tutte-coxeter"])
+    def test_cli_fixtures_and_one_edge_mutations(self, name, k):
+        rng = random.Random(k)
+        g = subdivide(fixture(name), k)
+        for coloring, t in ((arboricity_coloring(g, 2), 3), (arboricity_coloring(g, 3), 4),
+                            (acyclic_edge_coloring(g, 3), 3)):
+            assert _agrees_with_blocks_oracle(g, coloring, t)
+            for _ in range(6):
+                _agrees_with_blocks_oracle(g, _one_edge_mutation(coloring, rng), t)
+
+    def test_refusal_counts_the_same_subsets(self):
+        # K8 with 28 distinct colors at t = 10: C(28, 9) subsets in one block
+        g = complete(8)
+        coloring = EdgeColoring({e: i + 1 for i, e in enumerate(sorted(g.edges))})
+        assert _agrees_with_blocks_oracle(g, coloring, 10) is None
 
 
 class TestArboricityColoring:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,8 +16,8 @@ from pathdeg.graph import (
     walk_chain,
 )
 
-from conftest import random_graph, trees_and_subdivisions
-from cycle_oracle import count_cycles_via_cycle_space, enumerate_cycles_bruteforce
+from conftest import chain_graphs, random_graph, trees_and_subdivisions
+from cycle_oracle import count_cycles_via_cycle_space, enumerate_cycles_bruteforce, girth_bfs
 
 
 class TestBuildGraph:
@@ -111,6 +112,67 @@ class TestGirth:
             ring = [(base.n + i, base.n + (i + 1) % length) for i in range(length)]
             g = build_graph(base.n + length, [*base.edges, *ring])
             assert girth(g) == length
+
+
+def _networkx_girth(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(list(g.edges))
+    h.add_nodes_from(range(g.n))
+    return nx.girth(h)
+
+
+class TestGirthAgreesWithBfs:
+    """The skeleton search against the whole-graph BFS it replaced and
+    networkx."""
+
+    def test_corpus_subdivided_0_1_2_times(self, exhaustive_corpus):
+        # subdividing every edge k times scales every cycle by k+1, so
+        # networkx runs on the base graph only (on all three it takes 11 s)
+        for base in exhaustive_corpus:
+            expected = _networkx_girth(base)
+            for k in (0, 1, 2):
+                g = subdivide(base, k)
+                assert girth(g) == girth_bfs(g) == expected * (k + 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(chain_graphs())
+    def test_chain_graphs(self, g):
+        assert girth(g) == girth_bfs(g) == _networkx_girth(g)
+
+    def test_cli_fixtures_at_scale(self):
+        for name in ("dodecahedron", "petersen", "heawood", "mcgee", "tutte-coxeter"):
+            for k in (3, 6, 12, 85):
+                g = subdivide(fixture(name), k)
+                assert girth(g) == girth_bfs(g) == girth(fixture(name)) * (k + 1)
+
+    def test_parallel_chains_and_loops(self):
+        # two chains of 5 and 6 edges between 0 and 1, loops of 7 and 4
+        g = chain_graph(2, [(0, 1, 5), (0, 1, 6), (0, 0, 7), (1, 1, 4), (0, 1, 9)])
+        assert girth(g) == 4
+        g = chain_graph(2, [(0, 1, 5), (0, 1, 6), (0, 0, 12), (1, 1, 12), (0, 1, 9)])
+        assert girth(g) == 11
+
+
+class TestChainGraphRefusals:
+    @pytest.mark.parametrize("link, why", [
+        ((0, 1, 0), "a chain needs length >= 1"),
+        ((0, 1, -2), "a chain needs length >= 1"),
+        ((0, 0, 1), "a loop needs length >= 3"),
+        ((0, 0, 2), "a loop needs length >= 3"),
+    ])
+    def test_unbuildable_link_named(self, link, why):
+        with pytest.raises(ValueError, match=re.escape(f"link {link}: {why}")):
+            chain_graph(2, [(0, 1, 3), link])
+
+    @pytest.mark.parametrize("second", [(0, 1, 1), (1, 0, 1)])
+    def test_second_length_1_link_named(self, second):
+        with pytest.raises(ValueError, match=re.escape(f"link {second}: a second length-1 link between")):
+            chain_graph(2, [(0, 1, 1), (0, 1, 2), second])
+
+    def test_shortest_loop_and_parallel_chains_build(self):
+        assert chain_graph(1, [(0, 0, 3)]) == cycle(3)
+        g = chain_graph(2, [(0, 1, 1), (0, 1, 2), (1, 0, 2)])
+        assert (g.n, g.m, girth(g)) == (4, 5, 3)
 
 
 class TestSubdivide:

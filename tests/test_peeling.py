@@ -155,12 +155,17 @@ def chain_multigraphs(draw):
     """Up to four branch vertices joined by up to six chains of 1-6 edges,
     loops and parallel chains included, relabeled by a random
     permutation: merges, loops that close into cycles and chains whose
-    ends fall to degree 2 come up often."""
+    ends fall to degree 2 come up often.  A pair holds at most one chain
+    of length 1, as chain_graph requires."""
     k = draw(st.integers(1, 4))
     links = []
+    direct = set()
     for _ in range(draw(st.integers(1, 6))):
         u, v = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-        links.append((u, v, draw(st.integers(3 if u == v else 1, 6))))
+        length = draw(st.integers(3 if u == v else 2 if (u, v) in direct else 1, 6))
+        if length == 1:
+            direct |= {(u, v), (v, u)}
+        links.append((u, v, length))
     g = chain_graph(k, links)
     perm = draw(st.permutations(range(g.n)))
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
