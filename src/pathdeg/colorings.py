@@ -178,15 +178,14 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
         raise ValueError("t must be >= 2")
     at = _colors_at(g, coloring)
     adj, order, _, branch, skeleton, _ = core_skeleton(g)
-    cycles = [[at[x][y] for x, y in zip(s, s[1:] + s[:1])] for s in core_cycles(adj, order, branch, skeleton)]
-    chains = []                     # (u, v, length, colors) per chain that is no loop
-    for c in skeleton:
+    cycles = []                     # (length, colors) per block that is one cycle
+    chains = []                     # (u, v, length, colors) per other chain
+    for c in skeleton + [s + s[:1] for s in core_cycles(adj, order, branch, skeleton)]:
         colors = [at[x][y] for x, y in zip(c, c[1:])]
         if c[0] == c[-1]:
-            cycles.append(colors)
+            cycles.append((len(colors), set(colors)))
         else:
             chains.append((c[0], c[-1], len(colors), frozenset(colors)))
-    cycles = [(len(colors), set(colors)) for colors in cycles]
     work = [(members, sorted(frozenset().union(*(c[3] for c in members)))) for members in _chain_blocks(chains, g.n)]
     subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in cycles + work)
     if subsets > MAX_COLOR_SUBSETS:

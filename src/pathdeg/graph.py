@@ -295,13 +295,13 @@ def girth(g: Graph):
     longer than it, unless the link is u's tree link, which is skipped;
     it cannot be w's, which is scanned only once, as it reaches w.  A tree
     link is known by its position in the link list, so parallel chains
-    stay apart.  Every vertex of a cycle C through s lies
-    within |C|/2 of s, and C has a link off the search tree, so the search
-    ends with best <= |C|.  Hence the search from s may skip the branch
-    vertices searched before it: a shortest cycle is found from the first
-    of its branch vertices.  With unit lengths this is breadth-first
-    search.  Each search costs O(links), so subdividing a graph adds only
-    the O(n) of building the skeleton.
+    stay apart.  Every vertex of a cycle C through s lies within |C|/2 of
+    s, and C has a link off the search tree, so the search ends with
+    best <= |C|.  Hence the search from s may skip the branch vertices
+    searched before it: a shortest cycle is found from the first of its
+    branch vertices.  With unit lengths this is breadth-first search.
+    Each search costs O(links), so subdividing a graph adds only the O(n)
+    of building the skeleton.
     """
     adj, order, _, branch, chains, links = core_skeleton(g)
     best = min(map(len, core_cycles(adj, order, branch, chains)), default=INFINITE)
