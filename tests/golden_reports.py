@@ -48,15 +48,15 @@ def _cyclic_coloring(name: str, k: int) -> str:
 
 
 def render(name: str, k: int, stem: str, as_json: bool) -> str:
-    """The report of one case, as the CLI prints it.  Runs in a scratch
+    """The report of one case, as the CLI prints it.  Runs in a temporary
     directory holding the case's artifact, so the command line, which the
     report echoes, names it by a relative path."""
     argv = [*COMMANDS[stem], "--graph", f"fixture:{name}", "--subdivide", str(k)]
     if as_json:
         argv.append("--json")
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
         try:
             Path(ARTIFACT).write_text(_cyclic_coloring(name, k))
             return cli.run(argv).render(as_json) + "\n"
