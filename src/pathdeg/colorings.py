@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, blocks, core_cycles, core_skeleton, normalize_edge
+from .graph import Graph, blocks, core_skeleton, normalize_edge
 from .reduction import EAR, LEAF, certificate_or_raise
 
 
@@ -166,9 +166,9 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     each block with a cycle tries C(k, min(k, t-1)) subsets S.
 
     The blocks with a cycle are those of the 2-core, found on its chain
-    skeleton (`graph.core_skeleton`).  A loop chain and a core component
-    without a branch vertex are each a block that is one cycle, which
-    fails when it has fewer than min(|C|, t) colors.  The S-colored edges
+    skeleton (`graph.core_skeleton`).  A closed chain (a loop chain or a
+    core component without a branch vertex) is a block that is one cycle,
+    which fails when it has fewer than min(|C|, t) colors.  The S-colored edges
     of any other block B are the chains of B with all their colors in S,
     plus pieces of the other chains, which lie on no cycle of them.  So
     each S costs O(chains of B): take the blocks of the kept chains, and
@@ -177,10 +177,9 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     if t < 2:
         raise ValueError("t must be >= 2")
     at = _colors_at(g, coloring)
-    adj, order, _, branch, skeleton, _ = core_skeleton(g)
     cycles = []                     # (length, colors) per block that is one cycle
     chains = []                     # (u, v, length, colors) per other chain
-    for c in skeleton + [s + s[:1] for s in core_cycles(adj, order, branch, skeleton)]:
+    for c in core_skeleton(g)[3]:
         colors = [at[x][y] for x, y in zip(c, c[1:])]
         if c[0] == c[-1]:
             cycles.append((len(colors), set(colors)))

@@ -105,7 +105,7 @@ def max_subgraph_density(g: Graph) -> Fraction:
     """Maximum of edges/vertices over nonempty subgraphs, exact."""
     if g.n == 0:
         raise ValueError("empty graph has no nonempty subgraph")
-    _, b, a, branch, _, links = core_skeleton(g)
+    b, a, branch, _, links = core_skeleton(g)
     if not b:
         c = max(len(comp) for comp in connected_components(g))
         return Fraction(c - 1, c)

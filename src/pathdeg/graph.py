@@ -1,10 +1,11 @@
 """Immutable simple undirected graphs and the structural primitives used
 throughout the package: subdivision, the degree-2 chain walk and
 chains_through, the one chain decomposition built on it (the reduction
-engine, its oracle and suppressed_multigraph all read it), the inverse
-chain_graph, the 2-core peel, core_skeleton (the 2-core's chains between
-its branch vertices), girth, the block decomposition, and bounded
-enumeration of simple cycles.
+engine, its oracle and core_skeleton all read it), the 2-core peel,
+core_skeleton (every maximal degree-2 chain of the 2-core) and its
+inverse chain_graph, girth, the block decomposition, bounded enumeration
+of simple cycles, and `derived`, the one slot that keeps values built
+from the graph object last passed.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
@@ -13,9 +14,9 @@ to share between computations.
 The graphs of interest are mostly subdivision vertices, so `girth`,
 `density.mad` and `colorings.verify_cycle_rainbow` read core_skeleton,
 whose size is the number of chains, not of vertices; only building it
-walks the whole graph.  `blocks` is one linear pass.  `enumerate_cycles`
-is exponential in the worst case and serves the tests and the public API
-only; its brute-force oracles live in the tests.
+walks the whole graph, once per graph object.  `blocks` is one linear
+pass.  `enumerate_cycles` is exponential in the worst case and serves the
+tests and the public API only; its brute-force oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -140,10 +141,13 @@ def subdivide(g: Graph, k: int) -> Graph:
 
 def chain_graph(n: int, links) -> Graph:
     """Vertices 0..n-1 joined by one path of length L per (u, v, L) link.
-    The interior vertices are numbered n, n+1, ... in link order; the
-    inverse of suppressed_multigraph.  Raises ValueError, naming the link,
-    on a length below 1, a loop (u == v) shorter than 3 and a second
-    length-1 link between one pair: none has a simple graph to build."""
+    The interior vertices are numbered n, n+1, ... in link order.  The
+    inverse of core_skeleton's chains: on a 2-core whose branch vertices
+    are 0..n-1, one in each component, the (c[0], c[-1], len(c) - 1) of
+    its chains rebuild it up to the interior numbering.  Raises
+    ValueError, naming the link, on a length below 1, a loop (u == v)
+    shorter than 3 and a second length-1 link between one pair: none has
+    a simple graph to build."""
     edges = []
     nxt = n
     direct = set()
@@ -216,47 +220,54 @@ def peel(adj, deg: list[int], alive: list[bool], stack: list[int]) -> None:
                         stack.append(w)
 
 
-def suppressed_multigraph(adj, branch: list[int]) -> list[list[int]]:
-    """Smooth away the degree-2 vertices between the vertices of `branch`.
+# The graph last passed to `derived` and the values built from it, by key.
+# A call reads and replaces the slot as one tuple, so each call writes into
+# the values of its own graph even when threads interleave.
+_slot: tuple[Graph | None, dict] = (None, {})
 
-    adj maps each vertex to its neighbours, as for walk_chain, and `branch`
-    holds exactly the vertices reachable from it whose degree is not 2 (for
-    a whole graph, every vertex of degree != 2).  Returns each chain between
-    branch vertices once, as its vertex list [u, ..., v] oriented so that
-    u <= v (u == v for a loop); its length is one less than its size.  The
-    edges between branch vertices come first, then the chains_through the
-    branch vertices' degree-2 neighbours; a cycle component through no
-    branch vertex gives no chain.
-    """
-    chains = []
-    inner = []
-    for u in branch:
-        for w in adj[u]:
-            if len(adj[w]) == 2:
-                inner.append(w)
-            elif u < w:
-                chains.append([u, w])
-    for s, _ in chains_through(adj, inner):
-        chains.append(s if s[0] <= s[-1] else s[::-1])
-    return chains
+
+def derived(g: Graph, key, build):
+    """build(g), kept under `key` for the graph object last passed, so a
+    pipeline on one graph builds each value once.  The match is by
+    identity (`is`), never by equality: an equal graph built anew is
+    computed afresh.  The slot holds that one graph and its values until
+    a call on another graph replaces it.  The values are shared, so no
+    caller may change one."""
+    global _slot
+    graph, values = _slot
+    if graph is not g:
+        values = {}
+        _slot = (g, values)
+    if key not in values:
+        values[key] = build(g)
+    return values[key]
 
 
 def core_skeleton(g: Graph) -> tuple:
-    """g's 2-core on its chain skeleton, the one that `density.mad`, `girth`
-    and `colorings.verify_cycle_rainbow` read, as the tuple
-    (adj, order, size, branch, chains, links):
+    """g's 2-core as its maximal degree-2 chains, the one decomposition
+    that `density.mad`, `girth` and `colorings.verify_cycle_rainbow` read,
+    as the tuple (order, size, branch, chains, links):
 
-    - adj: the core's adjacency, in which a vertex off the core keeps at
-      most one neighbour;
     - order, size: the core's vertex and edge counts;
     - branch: its vertices of core degree >= 3, in increasing order;
-    - chains: suppressed_multigraph(adj, branch);
-    - links: one (i, j, L) per chain, of length L between branch[i] and
-      branch[j] (i == j for a loop).
+    - chains: each chain between branch vertices once, as its vertex list
+      [u, ..., v] with u <= v (u == v for a loop), the edges between
+      branch vertices first; then each core component without a branch
+      vertex, a cycle, as a closed chain [v, ..., v].  A chain's length
+      is one less than its size;
+    - links: one (i, j, L) per chain before the cycle components, of
+      length L between branch[i] and branch[j] (i == j for a loop).
 
-    A core component without a branch vertex is a cycle and gives no
-    chain; `core_cycles` lists those.
+    Built once per graph object (`derived`) and shared: readers must not
+    change it.
     """
+    return derived(g, "core_skeleton", _skeleton)
+
+
+def _skeleton(g: Graph) -> tuple:
+    """core_skeleton, built: the peel, then one chains_through pass over
+    every vertex.  A vertex off the core keeps at most one neighbour in
+    the core's adjacency, so the pass meets only core chains."""
     adj = g.adj
     deg = g.degrees()
     core = [True] * g.n
@@ -268,34 +279,31 @@ def core_skeleton(g: Graph) -> tuple:
         order = sum(core)
         size = sum(d for d, alive in zip(deg, core) if alive) // 2
     branch = [v for v in range(g.n) if core[v] and deg[v] >= 3]
-    chains = suppressed_multigraph(adj, branch)
+    chains = [[u, w] for u in branch for w in adj[u] if u < w and len(adj[w]) != 2]
+    cycles = []
+    for s, closed in chains_through(adj, range(g.n)):
+        if closed:
+            cycles.append(s + s[:1])
+        else:
+            chains.append(s if s[0] <= s[-1] else s[::-1])
     pos = {v: i for i, v in enumerate(branch)}
     links = [(pos[c[0]], pos[c[-1]], len(c) - 1) for c in chains]
-    return adj, order, size, branch, chains, links
-
-
-def core_cycles(adj, order: int, branch: list[int], chains: list[list[int]]) -> list[list[int]]:
-    """The components without a branch vertex of a core_skeleton, each a
-    cycle in cyclic order.  The branch vertices and the chains' interiors
-    account for every other core vertex, so most graphs take no walk."""
-    if order == len(branch) + sum(len(c) - 2 for c in chains):
-        return []
-    return [s for s, closed in chains_through(adj, range(len(adj))) if closed]
+    return order, size, branch, chains + cycles, links
 
 
 def girth(g: Graph):
     """Length of a shortest cycle, or INFINITE for forests.
 
-    Every cycle lies in the 2-core.  A core component without a branch
-    vertex is a cycle, and a loop link is one; any other cycle passes a
-    branch vertex.  So from each branch vertex s, search the skeleton by
-    distance buckets (Dial 1969), up to distance best/2.  A link (u, w)
-    scanned from u that reaches an already reached w closes a walk of
-    length dist[u] + L + dist[w] through s, which contains a cycle no
-    longer than it, unless the link is u's tree link, which is skipped;
-    it cannot be w's, which is scanned only once, as it reaches w.  A tree
-    link is known by its position in the link list, so parallel chains
-    stay apart.  Every vertex of a cycle C through s lies within |C|/2 of
+    Every cycle lies in the 2-core.  A closed chain of core_skeleton (a
+    loop or a core component without a branch vertex) is a cycle; any
+    other cycle passes a branch vertex.  So from each branch vertex s,
+    search the skeleton by distance buckets (Dial 1969), up to distance
+    best/2.  A link (u, w) scanned from u that reaches an already reached
+    w closes a walk of length dist[u] + L + dist[w] through s, which
+    contains a cycle no longer than it, unless the link is u's tree link,
+    which is skipped; it cannot be w's, which is scanned only once, as it
+    reaches w.  A tree link is known by its position in the link list, so
+    parallel chains stay apart.  Every vertex of a cycle C through s lies within |C|/2 of
     s, and C has a link off the search tree, so the search ends with
     best <= |C|.  Hence the search from s may skip the branch vertices
     searched before it: a shortest cycle is found from the first of its
@@ -303,13 +311,11 @@ def girth(g: Graph):
     Each search costs O(links), so subdividing a graph adds only the O(n)
     of building the skeleton.
     """
-    adj, order, _, branch, chains, links = core_skeleton(g)
-    best = min(map(len, core_cycles(adj, order, branch, chains)), default=INFINITE)
+    _, _, branch, chains, links = core_skeleton(g)
+    best = min((len(c) - 1 for c in chains if c[0] == c[-1]), default=INFINITE)
     at: list[list[tuple[int, int, int]]] = [[] for _ in branch]
     for x, (i, j, L) in enumerate(links):
-        if i == j:
-            best = min(best, L)
-        else:
+        if i != j:
             at[i].append((j, L, x))
             at[j].append((i, L, x))
     for s in range(len(branch)):

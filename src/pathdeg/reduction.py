@@ -45,12 +45,11 @@ and an independent checker validates applicability step by step.
 
 One greedy run serves a whole pipeline on one graph.  `greedy_reduce`,
 `is_p_path_degenerate`, `certificate_or_raise`, and through them both
-colorings and `wcol.weak_order`, share the run's (certificate, survivors)
-for the graph object last passed, one result per (p, exact_ears).  The
-match is by identity (`is`), never by equality: an equal graph built
-anew is decided afresh.  The slot holds that one graph and its results
-until a call on another graph replaces it; the results are frozen, so
-sharing them is safe.
+colorings and `wcol.weak_order`, share the run's (certificate, survivors),
+one per (p, exact_ears), in `graph.derived`'s slot for the graph object
+last passed, beside that graph's `core_skeleton`.  The match is by
+identity (`is`), never by equality: an equal graph built anew is decided
+afresh.  The results are frozen, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, chains_through, induced_subgraph, from_edges, peel
+from .graph import Graph, chains_through, derived, induced_subgraph, from_edges, peel
 
 ISOLATED = "I"
 LEAF = "L"
@@ -234,27 +233,16 @@ def find_p_reduction(g: Graph, p: int, exact_ears: bool = False) -> ReductionSte
     return next(_peel(_work_adj(g), p, exact_ears), None)
 
 
-# The graph last reduced and its greedy results by (p, exact_ears).  A
-# call reads and replaces the slot as one tuple, so each call writes into
-# the results of its own graph even when threads interleave.
-_last: tuple[Graph | None, dict] = (None, {})
-
-
 def _reduce(g: Graph, p: int, exact_ears: bool) -> tuple[ReductionSequence, tuple[int, ...]]:
     """The greedy run: its certificate and the sorted vertices it leaves.
-    Kept for the graph object last passed (matched with `is`), so a
-    pipeline on one graph runs the engine once per (p, exact_ears)."""
-    global _last
-    graph, results = _last
-    if graph is not g:
-        results = {}
-        _last = (g, results)
-    key = (p, exact_ears)
-    if key not in results:
+    Kept in `graph.derived`'s slot under (p, exact_ears), so a pipeline on
+    one graph object runs the engine once per (p, exact_ears)."""
+    def run(g: Graph):
         adj = _work_adj(g)
         steps = tuple(_peel(adj, p, exact_ears))
-        results[key] = ReductionSequence(p=p, steps=steps, exact_ears=exact_ears), tuple(sorted(adj))
-    return results[key]
+        return ReductionSequence(p=p, steps=steps, exact_ears=exact_ears), tuple(sorted(adj))
+
+    return derived(g, (p, exact_ears), run)
 
 
 def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):

@@ -10,9 +10,9 @@ from pathdeg.graph import (
     chain_graph,
     chains_through,
     connected_components,
+    core_skeleton,
     enumerate_cycles,
     girth,
-    suppressed_multigraph,
     walk_chain,
 )
 
@@ -379,61 +379,98 @@ class TestBlocks:
         assert _block_sets(blocks(g.edges)) == expected
 
 
+def _core(g):
+    """The vertices of g's 2-core, by deleting a vertex of degree < 2
+    until none is left."""
+    alive = set(range(g.n))
+    while True:
+        low = {v for v in alive if len(g.adj[v] & alive) < 2}
+        if not low:
+            return alive
+        alive -= low
+
+
 def _suppress(g):
-    """Branch vertices and (u, v, length) links of g's chains."""
-    branch = [v for v in range(g.n) if g.degree(v) != 2]
-    return branch, [(c[0], c[-1], len(c) - 1) for c in suppressed_multigraph(g.adj, branch)]
+    """Branch vertices and (u, v, length) links of g's core_skeleton, and
+    its closed chains after the links."""
+    _, _, branch, chains, links = core_skeleton(g)
+    closed = chains[len(links):]
+    assert all(c[0] == c[-1] for c in closed)
+    return branch, [(branch[i], branch[j], length) for i, j, length in links], closed
 
 
 class TestSuppression:
     def test_subdivision_smooths_back(self):
-        branch, links = _suppress(subdivide(complete(4), 2))
-        assert branch == [0, 1, 2, 3]
+        branch, links, closed = _suppress(subdivide(complete(4), 2))
+        assert branch == [0, 1, 2, 3] and closed == []
         assert len(links) == 6 and all(l == 3 for _, _, l in links)
 
     def test_pure_cycle_component(self):
-        assert _suppress(cycle(6)) == ([], [])
+        assert _suppress(cycle(6)) == ([], [], [[0, 1, 2, 3, 4, 5, 0]])
+
+    def test_tree_has_no_chain(self):
+        assert _suppress(path(6)) == ([], [], [])
 
     def test_theta_parallel_chains(self):
-        _, links = _suppress(theta(2, 2, 2))
+        _, links, _ = _suppress(theta(2, 2, 2))
         assert len(links) == 3
         assert all({u, v} == {0, 1} and l == 2 for u, v, l in links)
 
     def test_branch_edges_and_loops(self):
         # K4 on 0..3, plus loops of length 3 and 4 at vertex 0
         g = build_graph(9, [*complete(4).edges, (0, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0)])
-        _, links = _suppress(g)
+        _, links, closed = _suppress(g)
         assert sorted(links) == sorted([*((u, v, 1) for u, v in complete(4).edges), (0, 0, 3), (0, 0, 4)])
+        assert closed == []
+
+    def test_pendant_trees_leave_the_core(self):
+        # a triangle with a pendant path, and a theta whose hub carries a leaf
+        g = build_graph(11, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                             (5, 6), (6, 7), (5, 8), (8, 7), (5, 9), (9, 7), (7, 10)])
+        order, size, branch, chains, links = core_skeleton(g)
+        assert (order, size, branch) == (8, 9, [5, 7])
+        assert sorted(links) == [(0, 1, 2)] * 3
+        assert chains[3:] == [[0, 1, 2, 0]]
 
     def test_lengths_sum_to_edge_count(self, exhaustive_corpus, corpus):
         subdivided = [subdivide(g, k) for g in corpus.values() for k in (1, 2, 5)]
         for g in [*exhaustive_corpus, *subdivided]:
-            _, links = _suppress(g)
-            cycles = [comp for comp in connected_components(g) if all(g.degree(v) == 2 for v in comp)]
-            assert sum(length for _, _, length in links) + sum(map(len, cycles)) == g.m
+            order, size = core_skeleton(g)[:2]
+            _, links, closed = _suppress(g)
+            core = _core(g)
+            assert order == len(core)
+            assert size == sum(len(g.adj[v] & core) for v in core) // 2
+            assert sum(length for _, _, length in links) + sum(len(c) - 1 for c in closed) == size
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40)))
-    def test_chains_partition_the_edges_off_cycle_components(self, g):
-        branch, _ = _suppress(g)
+    @given(st.one_of(trees_and_subdivisions(max_n=40), _plus_cycle_component(max_n=40), chain_graphs()))
+    def test_chains_partition_the_core_edges(self, g):
+        core = _core(g)
+        degree = {v: len(g.adj[v] & core) for v in core}
+        branch, links, closed = _suppress(g)
+        chains = core_skeleton(g)[3]
+        assert branch == sorted(v for v in core if degree[v] >= 3)
+        assert [(c[0], c[-1], len(c) - 1) for c in chains[:len(links)]] == links
         on_chains = []
-        for chain in suppressed_multigraph(g.adj, branch):
-            assert g.degree(chain[0]) != 2 and g.degree(chain[-1]) != 2
-            assert all(g.degree(v) == 2 for v in chain[1:-1])
+        for chain in chains:
+            if chain in closed:
+                assert all(degree[v] == 2 for v in chain)
+            else:
+                assert degree[chain[0]] >= 3 and degree[chain[-1]] >= 3
+                assert all(degree[v] == 2 for v in chain[1:-1])
+                # walked from the end that comes first in branch order
+                assert chain[0] <= chain[-1] if len(chain) > 2 else chain[0] < chain[-1]
             assert all(g.has_edge(a, b) for a, b in zip(chain, chain[1:]))
-            # walked from the end that comes first in branch order
-            assert chain[0] <= chain[-1] if len(chain) > 2 else chain[0] < chain[-1]
             on_chains += [tuple(sorted(e)) for e in zip(chain, chain[1:])]
-        cycles = {v for comp in connected_components(g) if all(g.degree(v) == 2 for v in comp) for v in comp}
-        assert sorted(on_chains) == sorted(e for e in g.edges if e[0] not in cycles)
+        assert sorted(on_chains) == sorted(e for e in g.edges if e[0] in core and e[1] in core)
 
     def test_chain_graph_inverts_suppression(self):
         links = [(0, 1, 1), (0, 2, 4), (0, 3, 2), (1, 2, 3), (1, 3, 1), (2, 3, 5), (1, 2, 2), (3, 3, 4)]
         g = chain_graph(4, links)
         assert g.n == 4 + sum(length - 1 for _, _, length in links)
         assert g.m == sum(length for _, _, length in links)
-        branch, found = _suppress(g)
-        assert branch == [0, 1, 2, 3]
+        branch, found, closed = _suppress(g)
+        assert branch == [0, 1, 2, 3] and closed == []
         assert sorted((min(u, v), max(u, v), length) for u, v, length in found) == sorted(links)
 
     def test_chain_graph_numbers_interiors_in_link_order(self):

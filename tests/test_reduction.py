@@ -1,12 +1,15 @@
+import copy
 import gc
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathdeg import build_graph, complete, cycle, fixture, girth, path, reduction, subdivide, theta
-from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring
-from pathdeg.graph import induced_subgraph, suppressed_multigraph
+from pathdeg import build_graph, complete, cycle, fixture, girth, graph, path, reduction, subdivide, theta
+from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow
+from pathdeg.density import mad
+from pathdeg.formats import parse_graph6
+from pathdeg.graph import core_skeleton, induced_subgraph
 from pathdeg.wcol import WcolBoundParams, weak_order
 from pathdeg.reduction import (
     EAR,
@@ -284,10 +287,11 @@ class TestMinimalWitness:
         g = subdivide(fixture("dodecahedron"), p - 2)
         assert girth(g) >= 2 * p - 1
         w = minimal_irreducible_witness(g, p)
-        branch = [v for v in range(w.n) if w.degree(v) != 2]
-        links = [(c[0], c[-1], len(c) - 1) for c in suppressed_multigraph(w.adj, branch)]
-        assert sum(length for _, _, length in links) == w.m  # no cycle component
-        degs = {v: 0 for v in branch}
+        _, size, branch, chains, links = core_skeleton(w)
+        assert size == w.m  # w is a 2-core
+        assert len(links) == len(chains)  # no cycle component
+        assert sum(length for _, _, length in links) == w.m
+        degs = {v: 0 for v in range(len(branch))}
         seen_pairs = set()
         simple = True
         for a, b, length in links:
@@ -422,6 +426,68 @@ class TestOneRunPerGraph:
             assert run(op, g) == fresh[op], op
 
 
+@pytest.fixture
+def skeleton_builds(monkeypatch):
+    """Counts chain skeleton builds: calls of graph._skeleton."""
+    builds = []
+    build = graph._skeleton
+
+    def counted(g):
+        builds.append(g)
+        return build(g)
+
+    monkeypatch.setattr(graph, "_skeleton", counted)
+    return builds
+
+
+# theta(3,4,5) with a 4-edge loop chain at a hub and a pendant edge, and
+# Petersen with a pendant path beside a C4: a loop chain and a core
+# component without a branch vertex
+SKELETON_INPUTS = [subdivide(parse_graph6(text), 3) for text in ("NR_IK?@?I?o??@_?_?O", "OheA@GUAs??@????_?G?D")]
+
+
+class TestOneSkeletonPerGraph:
+    @pytest.mark.parametrize("g", SKELETON_INPUTS)
+    def test_readers_share_one_build(self, g, skeleton_builds):
+        girth(g)
+        mad(g)
+        assert verify_cycle_rainbow(g, arboricity_coloring(g, 3), 4)
+        assert verify_cycle_rainbow(g, acyclic_edge_coloring(g, 3), 3)
+        assert skeleton_builds == [g]
+
+    def test_greedy_runs_and_skeleton_coexist(self, engine_runs, skeleton_builds):
+        g = _copy(SKELETON_INPUTS[0])
+        assert is_p_path_degenerate(g, 4).degenerate
+        value = girth(g)
+        arb = arboricity_coloring(g, 3)
+        assert girth(g) == value and verify_cycle_rainbow(g, arb, 4)
+        assert is_p_path_degenerate(g, 4).degenerate
+        assert engine_runs == [(4, False)] and skeleton_builds == [g]
+        girth(cycle(5))             # another graph empties the slot
+        assert is_p_path_degenerate(g, 4).degenerate and girth(g) == value
+        assert engine_runs == [(4, False), (4, False)]
+        assert skeleton_builds == [g, cycle(5), g]
+
+    def test_rebuilt_copy_is_computed_afresh(self, skeleton_builds):
+        g = SKELETON_INPUTS[1]
+        h = _copy(g)
+        assert h == g and h is not g
+        assert girth(g) == girth(h) and mad(g) == mad(h)
+        assert skeleton_builds == [g, h, g, h]
+
+    @pytest.mark.parametrize("g", SKELETON_INPUTS)
+    def test_readers_leave_the_skeleton_unchanged(self, g):
+        g = _copy(g)
+        skeleton = core_skeleton(g)
+        before = copy.deepcopy(skeleton)
+        arb, acyclic = arboricity_coloring(g, 3), acyclic_edge_coloring(g, 3)
+        for read in (girth, mad, lambda g: verify_cycle_rainbow(g, arb, 4),
+                     lambda g: verify_cycle_rainbow(g, acyclic, 3)):
+            read(g)
+            assert core_skeleton(g) is skeleton and skeleton == before
+        assert before == graph._skeleton(g)
+
+
 class TestLemmaTightness:
     """Witnesses with girth exactly 2p-2 evade the subdivision
     characterization: their minimal witness smooths to a multigraph."""
@@ -434,8 +500,9 @@ class TestLemmaTightness:
         assert girth(g) == 2 * p - 2
         assert not is_p_path_degenerate(g, p).degenerate
         w = minimal_irreducible_witness(g, p)
-        chains = suppressed_multigraph(w.adj, [v for v in range(w.n) if w.degree(v) != 2])
-        pairs = [tuple(sorted((c[0], c[-1]))) for c in chains]
+        _, size, _, _, links = core_skeleton(w)
+        assert size == w.m  # w is a 2-core
+        pairs = [tuple(sorted((i, j))) for i, j, _ in links]
         assert len(pairs) != len(set(pairs))  # parallel chains: not simple
 
 
