@@ -408,9 +408,6 @@ class TestSuppression:
     def test_pure_cycle_component(self):
         assert _suppress(cycle(6)) == ([], [], [[0, 1, 2, 3, 4, 5, 0]])
 
-    def test_tree_has_no_chain(self):
-        assert _suppress(path(6)) == ([], [], [])
-
     def test_theta_parallel_chains(self):
         _, links, _ = _suppress(theta(2, 2, 2))
         assert len(links) == 3

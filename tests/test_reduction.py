@@ -442,13 +442,14 @@ def skeleton_builds(monkeypatch):
 
 # theta(3,4,5) with a 4-edge loop chain at a hub and a pendant edge, and
 # Petersen with a pendant path beside a C4: a loop chain and a core
-# component without a branch vertex
+# component without a branch vertex.  Each test works on its own copy.
 SKELETON_INPUTS = [subdivide(parse_graph6(text), 3) for text in ("NR_IK?@?I?o??@_?_?O", "OheA@GUAs??@????_?G?D")]
 
 
 class TestOneSkeletonPerGraph:
     @pytest.mark.parametrize("g", SKELETON_INPUTS)
     def test_readers_share_one_build(self, g, skeleton_builds):
+        g = _copy(g)
         girth(g)
         mad(g)
         assert verify_cycle_rainbow(g, arboricity_coloring(g, 3), 4)
@@ -469,7 +470,7 @@ class TestOneSkeletonPerGraph:
         assert skeleton_builds == [g, cycle(5), g]
 
     def test_rebuilt_copy_is_computed_afresh(self, skeleton_builds):
-        g = SKELETON_INPUTS[1]
+        g = _copy(SKELETON_INPUTS[1])
         h = _copy(g)
         assert h == g and h is not g
         assert girth(g) == girth(h) and mad(g) == mad(h)
