@@ -17,7 +17,8 @@ enough distinct colors maintains the cycle conditions:
 color classes, not by listing cycles: r+1 color subsets per block for an
 arboricity coloring, C(max(degree, r), r-1) for an acyclic one, each
 checked on the block's degree-2 chains (`graph.core_skeleton`) in time
-linear in their number.
+linear in their number: `graph.blocks` takes the chains as the edges of a
+multigraph, closed chains as loops.
 """
 
 from __future__ import annotations
@@ -142,16 +143,10 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> bool:
     return all(len(set(c.values())) == len(c) for c in _colors_at(g, coloring))
 
 
-def _chain_blocks(chains, node: int) -> list[list[tuple]]:
-    """The blocks with a cycle of the graph formed by `chains`, each
-    (u, v, length, colors) with u != v, as lists of chains.  chains[j]
-    runs as a 2-edge path through node + j, a node of its own, so that
-    parallel chains stay apart; node must exceed every vertex id."""
-    paths = []
-    for j, (u, v, _, _) in enumerate(chains):
-        paths += ((u, node + j), (v, node + j))
-    # a block of fewer than 3 edges is a bridge
-    return [[chains[x - node] for x in {x for _, x in b}] for b in blocks(paths) if len(b) >= 3]
+def _cycle_blocks(chains) -> list[list[tuple]]:
+    """The blocks of the multigraph formed by `chains`, (u, v, length,
+    colors) tuples, that hold a cycle: a loop, or more than one chain."""
+    return [b for b in blocks(chains) if len(b) > 1 or b[0][0] == b[0][1]]
 
 
 def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
@@ -166,35 +161,28 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     each block with a cycle tries C(k, min(k, t-1)) subsets S.
 
     The blocks with a cycle are those of the 2-core, found on its chain
-    skeleton (`graph.core_skeleton`).  A closed chain (a loop chain or a
-    core component without a branch vertex) is a block that is one cycle,
-    which fails when it has fewer than min(|C|, t) colors.  The S-colored edges
-    of any other block B are the chains of B with all their colors in S,
-    plus pieces of the other chains, which lie on no cycle of them.  So
-    each S costs O(chains of B): take the blocks of the kept chains, and
-    fail one whose chains hold more edges than colors.
+    skeleton (`graph.core_skeleton`): each chain is one edge (u, v,
+    length, colors) of a multigraph, and a closed chain (a loop chain or a
+    core component without a branch vertex) is a loop, a block that is one
+    cycle.  The S-colored edges of a block B are the chains of B with all
+    their colors in S, plus pieces of the other chains, which lie on no
+    cycle of them.  So each S costs O(chains of B): take the blocks with a
+    cycle of the kept chains, and fail one whose chains hold more edges
+    than colors.  A loop with k colors is kept only when k < t, at S = its
+    colors, and then fails when |C| > k: exactly when k < min(|C|, t).
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     at = _colors_at(g, coloring)
-    cycles = []                     # (length, colors) per block that is one cycle
-    chains = []                     # (u, v, length, colors) per other chain
-    for c in core_skeleton(g)[3]:
-        colors = [at[x][y] for x, y in zip(c, c[1:])]
-        if c[0] == c[-1]:
-            cycles.append((len(colors), set(colors)))
-        else:
-            chains.append((c[0], c[-1], len(colors), frozenset(colors)))
-    work = [(members, sorted(frozenset().union(*(c[3] for c in members)))) for members in _chain_blocks(chains, g.n)]
-    subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in cycles + work)
+    chains = [(c[0], c[-1], len(c) - 1, frozenset(at[x][y] for x, y in zip(c, c[1:]))) for c in core_skeleton(g)[3]]
+    work = [(members, sorted(frozenset().union(*(c[3] for c in members)))) for members in _cycle_blocks(chains)]
+    subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in work)
     if subsets > MAX_COLOR_SUBSETS:
         raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")
-    if any(len(palette) < min(length, t) for length, palette in cycles):
-        return False
     for members, palette in work:
         for subset in combinations(palette, min(len(palette), t - 1)):
             chosen = frozenset(subset)
-            for held in _chain_blocks([c for c in members if c[3] <= chosen], g.n):
+            for held in _cycle_blocks([c for c in members if c[3] <= chosen]):
                 if sum(c[2] for c in held) > len(frozenset().union(*(c[3] for c in held))):
                     return False
     return True

@@ -3,9 +3,10 @@ throughout the package: subdivision, the degree-2 chain walk and
 chains_through, the one chain decomposition built on it (the reduction
 engine, its oracle and core_skeleton all read it), the 2-core peel,
 core_skeleton (every maximal degree-2 chain of the 2-core) and its
-inverse chain_graph, girth, the block decomposition, bounded enumeration
-of simple cycles, and `derived`, the one slot that keeps values built
-from the graph object last passed.
+inverse chain_graph, girth, the block decomposition of a multigraph
+(parallel edges and loops included, so it takes core_skeleton's chains
+as they are), bounded enumeration of simple cycles, and `derived`, the
+one slot that keeps values built from the graph object last passed.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted pairs, and
 adjacency is kept as per-vertex frozensets, so graphs are hashable and safe
@@ -15,8 +16,10 @@ The graphs of interest are mostly subdivision vertices, so `girth`,
 `density.mad` and `colorings.verify_cycle_rainbow` read core_skeleton,
 whose size is the number of chains, not of vertices; only building it
 walks the whole graph, once per graph object.  `blocks` is one linear
-pass.  `enumerate_cycles` is exponential in the worst case and serves the
-tests and the public API only; its brute-force oracles live in the tests.
+pass over the edges it is given: every edge of a graph, or the chains of
+a skeleton.  `enumerate_cycles` is exponential in the worst case and
+serves the tests and the public API only; its brute-force oracles live
+in the tests.
 """
 
 from __future__ import annotations
@@ -342,42 +345,50 @@ def girth(g: Graph):
     return best
 
 
-def blocks(edges) -> list[list[tuple[int, int]]]:
-    """The blocks (maximal 2-connected subgraphs, and bridges) of the graph
-    formed by `edges`, each as a list of its edges as sorted pairs.
-    Hopcroft-Tarjan (1973) in O(n + m), with a stack of neighbour
-    iterators instead of recursion, so depth has no limit."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+def blocks(edges) -> list[list[tuple]]:
+    """The blocks (maximal 2-connected subgraphs, bridges and loops) of the
+    multigraph formed by `edges`, (u, v, ...) tuples joining u and v, each
+    block as a list of the tuples it was given.  Parallel edges are told
+    apart by their position in `edges`, so two of them form a block; a
+    loop (u == v) is a block of its own.  Hopcroft-Tarjan (1973) in
+    O(n + m), with a stack of neighbour iterators instead of recursion, so
+    depth has no limit."""
+    edges = list(edges)
+    out: list[list[tuple]] = []
+    adj: dict[int, list[tuple[int, int]]] = {}   # vertex -> (neighbour, edge position)
+    for x, (u, v, *_) in enumerate(edges):
+        if u == v:
+            out.append([edges[x]])
+        else:
+            adj.setdefault(u, []).append((v, x))
+            adj.setdefault(v, []).append((u, x))
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
-    out: list[list[tuple[int, int]]] = []
-    estack: list[tuple[int, int]] = []       # tree and back edges not yet in a block
+    estack: list[int] = []                   # tree and back edges not yet in a block
     for root in adj:
         if root in disc:
             continue
         disc[root] = low[root] = len(disc)
-        # (u, its parent, its neighbour iterator, where the tree edge into u sits on estack)
-        stack = [(root, None, iter(adj[root]), 0)]
+        # (u, the tree edge into u, u's neighbour iterator, where that edge sits on estack)
+        stack = [(root, -1, iter(adj[root]), 0)]
         while stack:
-            u, parent, it, mark = stack[-1]
-            for w in it:
+            u, via, it, mark = stack[-1]
+            for w, x in it:
                 if w not in disc:
                     disc[w] = low[w] = len(disc)
-                    stack.append((w, u, iter(adj[w]), len(estack)))
-                    estack.append(normalize_edge(u, w))
+                    stack.append((w, x, iter(adj[w]), len(estack)))
+                    estack.append(x)
                     break
-                if w != parent and disc[w] < disc[u]:      # a back edge, seen from below
-                    estack.append(normalize_edge(u, w))
+                if x != via and disc[w] < disc[u]:         # a back edge, seen from below
+                    estack.append(x)
                     low[u] = min(low[u], disc[w])
             else:
                 stack.pop()
-                if parent is not None:
+                if stack:
+                    parent = stack[-1][0]
                     low[parent] = min(low[parent], low[u])
                     if low[u] >= disc[parent]:             # no back edge from u's subtree climbs above parent
-                        out.append(estack[mark:])
+                        out.append([edges[x] for x in estack[mark:]])
                         del estack[mark:]
     return out
 

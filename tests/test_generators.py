@@ -39,6 +39,8 @@ class TestFixtures:
         ("heawood", 14, 21, 3, 6),
         ("mcgee", 24, 36, 3, 7),
         ("tutte-coxeter", 30, 45, 3, 8),
+        ("prism", 6, 9, 3, 3),
+        ("k33", 6, 9, 3, 4),
         ("k4", 4, 6, 3, 3),
         ("k5", 5, 10, 4, 3),
     ])

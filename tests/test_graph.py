@@ -362,7 +362,7 @@ class TestBlocks:
     def test_two_blocks_through_the_dfs_root(self):
         # the search starts at 0, the cut vertex of two 4-cycles
         assert _block_sets(blocks([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])) == [
-            [(0, 1), (0, 3), (1, 2), (2, 3)], [(0, 4), (0, 6), (4, 5), (5, 6)]]
+            [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 4), (4, 5), (5, 6), (6, 0)]]
 
     def test_empty(self):
         assert blocks([]) == []
@@ -377,6 +377,52 @@ class TestBlocks:
         h = nx.Graph(list(g.edges))
         expected = _block_sets([[tuple(sorted(e)) for e in b] for b in nx.biconnected_component_edges(h)])
         assert _block_sets(blocks(g.edges)) == expected
+
+
+@st.composite
+def _link_lists(draw):
+    """(n, links): up to 14 (u, v) links on n <= 7 vertices, loops and
+    parallel links included."""
+    n = draw(st.integers(1, 7))
+    end = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(end, end), max_size=14))
+
+
+def _blocks_by_subdivision(n, links):
+    """The blocks of the multigraph `links`, as sets of link positions,
+    found by `blocks` on a simple graph: link j becomes a 2-edge path
+    through vertex n + 2j, or a triangle through n + 2j and n + 2j + 1
+    when it is a loop.  A bridge link leaves two one-edge blocks there."""
+    owner = {}
+    for j, (u, v) in enumerate(links):
+        a, b = n + 2 * j, n + 2 * j + 1
+        for e in ((u, a), (a, v)) if u != v else ((u, a), (a, b), (b, u)):
+            owner[e] = j
+    return {frozenset(owner[e] for e in b) for b in blocks(owner)}
+
+
+class TestMultigraphBlocks:
+    def test_two_parallel_edges_form_one_block(self):
+        assert blocks([(0, 1), (1, 0)]) == [[(0, 1), (1, 0)]]
+
+    def test_a_loop_is_its_own_block(self):
+        assert blocks([(2, 2)]) == [[(2, 2)]]
+
+    def test_a_loop_plus_a_bridge(self):
+        assert _block_sets(blocks([(0, 0, "loop"), (0, 1, "bridge")])) == [[(0, 0, "loop")], [(0, 1, "bridge")]]
+
+    def test_theta_three_parallel_links(self):
+        # theta(2, 2, 2) as chain links: equal tuples, told apart by position
+        assert blocks([(0, 1, 2)] * 3) == [[(0, 1, 2)] * 3]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_link_lists())
+    def test_matches_the_subdivided_form(self, case):
+        n, links = case
+        tagged = [(u, v, j) for j, (u, v) in enumerate(links)]
+        found = blocks(tagged)
+        assert sorted((link for b in found for link in b), key=lambda link: link[2]) == tagged
+        assert {frozenset(j for _, _, j in b) for b in found} == _blocks_by_subdivision(n, links)
 
 
 def _core(g):
