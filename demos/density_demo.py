@@ -3,7 +3,10 @@
 `max_subgraph_density` is exact (iterated integer min-cuts), `mad` is
 twice it, and `nabla_r_bruteforce` enumerates rooted-block contractions
 to evaluate the depth-r minor density of tiny graphs -- enough to check
-the inequalities the girth thresholds lean on.
+the inequalities the girth thresholds lean on.  This demo shows the
+densities and the subdivision inequality; the nesting inequality (depth-b
+minors of depth-a minors stay below the depth-c density when
+2c+1 >= (2a+1)(2b+1)) is checked in tests/test_density.py.
 
 Run:  python demos/density_demo.py
 """
@@ -11,7 +14,6 @@ Run:  python demos/density_demo.py
 from fractions import Fraction
 
 from pathdeg import complete, cycle, fixture, mad, max_subgraph_density, nabla_r_bruteforce, subdivide
-from pathdeg.density import shallow_minors
 
 
 def density_table():
@@ -30,21 +32,6 @@ def shallow_minor_table():
     print()
 
 
-def composition_check():
-    print("Nesting check: members of (K_4 nabla 1/2) nabla 1/2 stay below nabla_3/2(K_4)")
-    g = complete(4)
-    outer = nabla_r_bruteforce(g, Fraction(3, 2))
-    worst = Fraction(0)
-    for h in shallow_minors(g, Fraction(1, 2)):
-        if h.n == 0:
-            continue
-        for m in shallow_minors(h, Fraction(1, 2)):
-            if m.n:
-                worst = max(worst, Fraction(m.m, m.n))
-    print(f"  max density over composed minors: {worst} <= nabla_3/2: {outer}  ({worst <= outer})")
-    print()
-
-
 def subdivision_transfer():
     print("Subdividing dilutes shallow-minor density")
     g = complete(4)
@@ -57,5 +44,4 @@ def subdivision_transfer():
 if __name__ == "__main__":
     density_table()
     shallow_minor_table()
-    composition_check()
     subdivision_transfer()

@@ -102,7 +102,6 @@ def _replay_check(g: Graph, cert, report: Report) -> None:
         report.verification = {"certificate_replays": True}
     except CertificateError as exc:
         report.verification = {"certificate_replays": False, "error": str(exc)}
-        report.ok = False
 
 
 def _cmd_analyze(args, g: Graph, report: Report) -> None:
@@ -125,7 +124,6 @@ def _cmd_check(args, g: Graph, report: Report) -> None:
         report.result["witness_size"] = verdict.witness.m
         report.result["witness_vertices"] = list(verdict.witness_vertices)
         report.verification["witness_irreducible"] = find_p_reduction(verdict.witness, args.p) is None
-        report.ok = report.verification["witness_irreducible"]
 
 
 def _coloring_check(g: Graph, coloring, t: int, report: Report, proper: bool = False,
@@ -139,7 +137,6 @@ def _coloring_check(g: Graph, coloring, t: int, report: Report, proper: bool = F
     if palette is not None:
         checks["within_palette"] = coloring.num_colors <= palette
     report.verification = checks
-    report.ok = all(v for k, v in checks.items() if k != "cycle_rainbow_threshold")
 
 
 def _cmd_color(args, g: Graph, report: Report) -> None:
@@ -165,8 +162,8 @@ def _wreach_check(g: Graph, order: LinearOrder, params: WcolBoundParams, report:
     maxima = wreach_maxima(g, order, params.r)
     per_x = {str(x): {"max_wreach": worst, "ok": wreach_bound_ok(worst, x, params)}
              for x, worst in enumerate(maxima)}
-    report.ok = all(check["ok"] for check in per_x.values())
-    report.verification = {"bound_per_radius": per_x, "all_within_bound": report.ok}
+    report.verification = {"bound_per_radius": per_x,
+                           "all_within_bound": all(check["ok"] for check in per_x.values())}
     return maxima[-1]
 
 
@@ -235,7 +232,6 @@ def _cmd_verify(args, g: Graph, report: Report) -> None:
         order = formats.parse_order(text)
         if len(order) != g.n:
             report.verification = {"order_matches_graph": False}
-            report.ok = False
             return
         _wreach_check(g, order, WcolBoundParams(r=args.r, q=args.q), report)
 
@@ -330,6 +326,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _all_hold(checks: dict) -> bool:
+    """True exactly when every boolean in `checks`, at any depth, holds."""
+    return all(_all_hold(v) if isinstance(v, dict) else v
+               for v in checks.values() if isinstance(v, (bool, dict)))
+
+
 def _execute(args: argparse.Namespace, argv: list[str]) -> Report:
     report = Report(command=" ".join(argv))
     try:
@@ -338,6 +340,7 @@ def _execute(args: argparse.Namespace, argv: list[str]) -> Report:
             g = _load_graph(args.graph, args.subdivide)
             report.input = _summary(g)
         args.handler(args, g, report)
+        report.ok = _all_hold(report.verification)
     except Exception as exc:
         report.result = {"error": type(exc).__name__, "message": str(exc)}
         report.ok = False

@@ -1,12 +1,13 @@
 """Exact subgraph density, maximum average degree, and a brute-force
 shallow-minor density for tiny graphs.
 
-`max_subgraph_density` works on the 2-core and has three closed forms.
+`max_subgraph_density` works on the 2-core.
 Deleting a vertex of degree <= 1 never lowers a density that is >= 1, so
 a graph with a cycle reaches its maximum, which is >= 1, inside its
 2-core.  A forest (empty 2-core) has maximum (c-1)/c, with c the order of
 its largest component.  A 2-core without a vertex of degree >= 3 is a
-union of cycles, of density exactly 1.
+union of cycles, of density exactly 1, where the iterations below start
+and stop: with no branch vertex, no round has supply.
 
 Otherwise an optimal subgraph of the 2-core takes each degree-2 chain
 whole or not at all, so only the branch vertices (core degree >= 3) are
@@ -29,8 +30,11 @@ supply needs no flow.  The result is the exact Fraction.
 
 `nabla_r_bruteforce` enumerates families of disjoint rooted blocks of
 bounded radius, keeps the minor edges allowed by the root-distance rule,
-collapses parallel edges, and maximizes edges/vertices.  It exists to
-test inequalities at desk scale, not to certify anything large.
+collapses parallel edges, and maximizes edges/vertices.  Each family,
+with one root per block, gives one maximal minor, holding every allowed
+edge; any depth-r minor is a spanning subgraph of one of them, so the
+maximum is taken over these alone.  It exists to test inequalities at
+desk scale, not to certify anything large.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .enumeration import canonical_key
-from .graph import Graph, build_graph, connected_components, core_skeleton
+from .graph import Graph, connected_components, core_skeleton
 
 
 class StateCapExceeded(RuntimeError):
@@ -109,8 +112,6 @@ def max_subgraph_density(g: Graph) -> Fraction:
     if not b:
         c = max(len(comp) for comp in connected_components(g))
         return Fraction(c - 1, c)
-    if not branch:
-        return Fraction(1)
     # arcs 4v, 4v+1: source->v and back; 4v+2, 4v+3: v->sink and back;
     # then 4k+2p, 4k+2p+1 join the ends of links[p] (a loop's pair never
     # carries flow).  Arcs into the source or out of the sink lie on no
@@ -133,7 +134,7 @@ def max_subgraph_density(g: Graph) -> Fraction:
             excess[i] += w
             excess[j] += w          # so a loop counts twice
             chain_cap += (w, w)
-        if max(excess) <= 0:
+        if max(excess, default=0) <= 0:
             return Fraction(a, b)
         cap: list[int] = []
         for x in excess:
@@ -272,15 +273,3 @@ def nabla_r_bruteforce(g: Graph, r, cap: int = 300_000) -> Fraction:
     if g.n == 0:
         raise ValueError("empty graph")
     return max((Fraction(len(edges), k) for k, edges in _minor_edge_sets(g, r, cap)), default=Fraction(0))
-
-
-def shallow_minors(g: Graph, r, cap: int = 300_000) -> list[Graph]:
-    """All shallow minors of g at depth r, up to isomorphism, as simple
-    graphs (every subset of allowed minor edges, then deduplicated)."""
-    seen = {}
-    for k, edges in _minor_edge_sets(g, r, cap):
-        edges = sorted(edges)
-        for mask in range(1 << len(edges)):
-            h = build_graph(k, [e for i, e in enumerate(edges) if mask >> i & 1])
-            seen.setdefault(canonical_key(h), h)
-    return list(seen.values())

@@ -1,5 +1,6 @@
 """Parsers and serializers: edge-list text, graph6, and the line formats
-for reduction certificates, edge colorings, and vertex orders.
+for reduction certificates, edge colorings, and vertex orders; and the
+shipped corpus, every connected graph on at most 8 vertices in graph6.
 
 graph6 follows the standard 6-bit encoding: N(n) header then the upper
 triangle of the adjacency matrix in column-major order, padded with zeros
@@ -7,12 +8,17 @@ to a multiple of six bits, each chunk offset by 63.  Both directions use
 one bit index, k = j(j-1)/2 + i for the pair i < j, and touch only the
 bits of edges, so memory is proportional to the graph6 string, not to
 the n(n-1)/2 vertex pairs.
+
+`builtin_corpus` parses data/connected_graphs_le8.g6.  The tests prove
+the file complete (each order holds every connected graph once, up to
+isomorphism); the generator that wrote it is in git history.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from importlib import resources
 
 from .colorings import EdgeColoring
 from .graph import Graph, build_graph, normalize_edge
@@ -142,6 +148,12 @@ def parse_graph6(text: str) -> Graph:
                 j = (1 + math.isqrt(8 * k + 1)) // 2
                 edges.append((k - j * (j - 1) // 2, j))
     return build_graph(n, edges)
+
+
+def builtin_corpus() -> list[Graph]:
+    """The shipped corpus: every connected graph on at most 8 vertices."""
+    text = resources.files("pathdeg").joinpath("data/connected_graphs_le8.g6").read_text()
+    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
 def serialize_certificate(cert: ReductionSequence) -> str:

@@ -1,4 +1,5 @@
-"""The shipped small-graph corpus and a canonical-form helper.
+"""Canonical forms for the tests' isomorphism checks, and the published
+count of connected graphs per order.
 
 The canonical key is computed by color refinement plus individualization:
 refine vertex colors by neighborhood color multisets, branch on the first
@@ -6,19 +7,15 @@ non-singleton color class, and take the minimum adjacency bitstring over
 all discrete refinements.  A branch is skipped when its vertex is a twin
 of one already tried in that class.  Exact for the tiny orders used here.
 
-`builtin_corpus` loads data/connected_graphs_le8.g6, every connected graph
-on at most 8 vertices.  The tests prove the file complete: each graph is
+The tests prove `formats.builtin_corpus` complete with it: each graph is
 connected, the count per order is `CONNECTED_COUNTS` (OEIS A001349), and
 all canonical keys are distinct, so each order holds every isomorphism
-class exactly once.  The generator that wrote the file is in git history.
+class exactly once.
 """
 
 from __future__ import annotations
 
-from importlib import resources
-
-from .formats import parse_graph6
-from .graph import Graph
+from pathdeg.graph import Graph
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -103,9 +100,3 @@ def _mask_key(n, masks):
 def canonical_key(g: Graph):
     """Hashable key identical for isomorphic graphs of the same order."""
     return (g.n, _mask_key(g.n, _masks(g)))
-
-
-def builtin_corpus() -> list[Graph]:
-    """The shipped corpus: every connected graph on at most 8 vertices."""
-    text = resources.files("pathdeg").joinpath("data/connected_graphs_le8.g6").read_text()
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import pathdeg
 from pathdeg import build_graph, complete, cycle, fixture, path, theta
+from pathdeg.formats import builtin_corpus
 from pathdeg.graph import chain_graph
-from pathdeg.enumeration import builtin_corpus
 
 
 def star(k: int):

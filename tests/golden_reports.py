@@ -8,9 +8,11 @@ two graph6 inputs reach what no fixture does: a 2-core component without
 a vertex of degree >= 3, and a loop chain at a hub.  A `verify` case
 reads an artifact that the case writes first (see ARTIFACTS), and each
 artifact has a tampered twin whose report must fail.  The `bounds` cases
-run each theorem at its defaults and at the corner cases that the CI
-floor-smoke job checks.  argparse help texts are left out, because their
-layout differs between Python versions.
+run each theorem at its defaults and at corner cases, each beside the
+reason it is pinned.  The CI floor-smoke job runs `--check` under the
+oldest supported Python, so every report holds there too.  argparse help
+texts are left out, because their layout differs between Python
+versions.
 
 A change that alters a report on purpose rewrites the files with
 
@@ -58,18 +60,28 @@ VERIFY_SUBDIVIDED = {
 # file label -> graph spec
 INPUTS = {name: f"fixture:{name}" for name in generators.fixture_names()}
 INPUTS.update({
-    # Petersen, a pendant path and a disjoint C4: girth 4, mad 3
+    # Petersen, a pendant path and a disjoint C4: girth 4, mad 3; the C4
+    # is a closed chain of the chain skeleton, a core component without
+    # a branch vertex
     "g6-petersen-c4": "g6:OheA@GUAs??@????_?G?D",
-    # theta(3,4,5), a 4-edge loop chain at a hub and a pendant edge: girth 4, mad 16/7
+    # theta(3,4,5), a 4-edge loop chain at a hub and a pendant edge: girth 4, mad 16/7;
+    # the loop is a closed chain at a branch vertex
     "g6-theta-loop": "g6:NR_IK?@?I?o??@_?_?O",
 })
 BOUNDS = [
     *((theorem,) for theorem in cli._BOUNDS),
-    # the floor-smoke job's corner cases
+    # the envelope is taken in decimal, and localcontext() takes keyword
+    # arguments only from Python 3.11
     ("subexponential", "-a", "1", "-b", "100", "-p", "2"),
+    # (24*sqrt(2)*a)**(1/b) overflows here; the threshold is taken in logarithms
     ("polynomial", "-a", "1e300", "-b", "0.001", "-p", "2"),
+    # W_-1 past half the float range: u = log(A*C*p) - 1 is about 1e308
+    # here, so 2u would overflow
     ("polynomial", "-a", "1e300", "-b", "7e-306", "-p", "2"),
+    # A*C*p < e: x > A*log(x) + B holds for every x, so the threshold is 7*(p-1)
     ("polynomial", "-a", "0.01", "-b", "1", "-p", "2"),
+    # (p-1)*b is finite here, the witness girth is not: a ValueError,
+    # never an Infinity, in strict JSON
     ("lower-poly", "-b", "1e307", "-p", "3"),
 ]
 

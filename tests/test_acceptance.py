@@ -16,7 +16,6 @@ from pathdeg.bounds import (
 )
 from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow, verify_proper
 from pathdeg.density import mad, max_subgraph_density_bruteforce, nabla_r_bruteforce
-from pathdeg.enumeration import CONNECTED_COUNTS, canonical_key
 from pathdeg.formats import parse_certificate, parse_graph6, serialize_certificate, to_graph6
 from pathdeg.graph import is_connected
 from pathdeg.reduction import backtrack_degenerate, is_p_path_degenerate, replay_certificate
@@ -29,6 +28,7 @@ from pathdeg.wcol import (
     wreach_bound_ok,
 )
 
+from canonical import CONNECTED_COUNTS, canonical_key
 from conftest import random_graph
 
 

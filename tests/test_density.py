@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from pathdeg import build_graph, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.density import (
     StateCapExceeded,
+    _minor_edge_sets,
     mad,
     max_subgraph_density,
     max_subgraph_density_bruteforce,
     nabla_r_bruteforce,
-    shallow_minors,
 )
 
 from conftest import random_graph, star, trees_and_subdivisions
@@ -176,16 +176,15 @@ class TestNabla:
 class TestCompositionInequality:
     @pytest.mark.parametrize("a,b,c", [(HALF, HALF, Fraction(3, 2)), (0, 1, 1), (1, 0, 1)])
     def test_nested_minors_stay_below_nabla_c(self, a, b, c):
-        # (2c+1) >= (2a+1)(2b+1) in all three parameter triples
+        # (2c+1) >= (2a+1)(2b+1) in all three parameter triples.  Every
+        # depth-a minor h of g is a spanning subgraph of a maximal one,
+        # and h's depth-b minors are subgraphs of that one's, so the
+        # maximal minors bound every nested density
         assert (2 * c + 1) >= (2 * a + 1) * (2 * b + 1)
         for g in (complete(4), cycle(5)):
             outer = nabla_r_bruteforce(g, c)
-            for h in shallow_minors(g, a, cap=500_000):
-                if h.n == 0:
-                    continue
-                for m in shallow_minors(h, b, cap=500_000):
-                    if m.n:
-                        assert Fraction(m.m, m.n) <= outer
+            for k, edges in _minor_edge_sets(g, a, cap=500_000):
+                assert nabla_r_bruteforce(build_graph(k, edges), b, cap=500_000) <= outer
 
 
 class TestSubdivisionTransfer:
@@ -228,22 +227,3 @@ class TestSubdivisionTransfer:
             rhs = max(Fraction(1), nabla_r_bruteforce(g, depth))
             assert lhs <= rhs, (sorted(g.edges), p, r)
             checked += 1
-
-
-class TestShallowMinors:
-    def test_depth0_minors_are_subgraphs(self):
-        minors = shallow_minors(cycle(4), 0)
-        # subgraphs of C4 up to iso: a decent spread, none denser than 1
-        assert all(Fraction(h.m, max(h.n, 1)) <= 1 for h in minors)
-
-    def test_contains_the_graph_itself(self):
-        from pathdeg.enumeration import canonical_key
-
-        g = complete(4)
-        keys = {canonical_key(h) for h in shallow_minors(g, HALF)}
-        assert canonical_key(g) in keys
-
-    @pytest.mark.parametrize("r", [-1, -HALF])
-    def test_negative_depth_rejected(self, r):
-        with pytest.raises(ValueError, match="^r must be a nonnegative half-integer$"):
-            shallow_minors(complete(4), r)

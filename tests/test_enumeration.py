@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathdeg import build_graph, complete, cycle
-from pathdeg.enumeration import CONNECTED_COUNTS, canonical_key
 from pathdeg.graph import is_connected
 
+from canonical import CONNECTED_COUNTS, canonical_key
 from conftest import star
 
 

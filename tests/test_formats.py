@@ -251,3 +251,10 @@ class TestRoundTrips:
     def test_orders(self, seq):
         order = LinearOrder.from_sequence(seq)
         assert parse_order(serialize_order(order)) == order
+
+
+def test_import_pathdeg_leaves_the_format_stack_unloaded():
+    # the package's top level needs no parser: the CLI loads formats
+    loaded = set(run_capped("import sys, pathdeg\nprint(*sys.modules)").split())
+    assert "pathdeg.density" in loaded
+    assert "pathdeg.formats" not in loaded and "pathdeg.enumeration" not in loaded
