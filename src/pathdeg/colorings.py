@@ -18,7 +18,7 @@ color classes, not by listing cycles: r+1 color subsets per block for an
 arboricity coloring, C(max(degree, r), r-1) for an acyclic one, each
 checked on the block's degree-2 chains (`graph.core_skeleton`) in time
 linear in their number: `graph.blocks` takes the chains as the edges of a
-multigraph, closed chains as loops.
+multigraph, closed chains as loops, and a loop needs no subset.
 """
 
 from __future__ import annotations
@@ -143,12 +143,6 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> bool:
     return all(len(set(c.values())) == len(c) for c in _colors_at(g, coloring))
 
 
-def _cycle_blocks(chains) -> list[list[tuple]]:
-    """The blocks of the multigraph formed by `chains`, (u, v, length,
-    colors) tuples, that hold a cycle: a loop, or more than one chain."""
-    return [b for b in blocks(chains) if len(b) > 1 or b[0][0] == b[0][1]]
-
-
 def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     """True iff every simple cycle C carries >= min(|C|, t) distinct
     colors.  Raises ValueError if t < 2, on a coloring that does not cover
@@ -158,31 +152,34 @@ def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     of min(k, t-1) of the k colors of B; it repeats a color inside a block
     of the S-colored edges of B.  Conversely, two edges of one color in
     such a block lie on a common cycle (Whitney), which then fails.  So
-    each block with a cycle tries C(k, min(k, t-1)) subsets S.
+    each block with a cycle needs at most C(k, min(k, t-1)) subsets S.
 
     The blocks with a cycle are those of the 2-core, found on its chain
     skeleton (`graph.core_skeleton`): each chain is one edge (u, v,
     length, colors) of a multigraph, and a closed chain (a loop chain or a
     core component without a branch vertex) is a loop, a block that is one
-    cycle.  The S-colored edges of a block B are the chains of B with all
-    their colors in S, plus pieces of the other chains, which lie on no
-    cycle of them.  So each S costs O(chains of B): take the blocks with a
-    cycle of the kept chains, and fail one whose chains hold more edges
-    than colors.  A loop with k colors is kept only when k < t, at S = its
-    colors, and then fails when |C| > k: exactly when k < min(|C|, t).
+    cycle: with k colors it fails exactly when k < min(|C|, t), and costs
+    no subset.  The S-colored edges of another block B are the chains of
+    B with all their colors in S, plus pieces of the other chains, which
+    lie on no cycle of them.  So each S costs O(chains of B): take the
+    blocks with a cycle of the kept chains, and fail one whose chains hold
+    more edges than colors (a block of one chain is a bridge).
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     at = _colors_at(g, coloring)
     chains = [(c[0], c[-1], len(c) - 1, frozenset(at[x][y] for x, y in zip(c, c[1:]))) for c in core_skeleton(g)[3]]
-    work = [(members, sorted(frozenset().union(*(c[3] for c in members)))) for members in _cycle_blocks(chains)]
+    parts = blocks(chains)
+    if any(b[0][0] == b[0][1] and len(b[0][3]) < min(b[0][2], t) for b in parts):   # a loop is a block
+        return False
+    work = [(b, sorted(frozenset().union(*(c[3] for c in b)))) for b in parts if len(b) > 1]
     subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in work)
     if subsets > MAX_COLOR_SUBSETS:
         raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")
     for members, palette in work:
         for subset in combinations(palette, min(len(palette), t - 1)):
             chosen = frozenset(subset)
-            for held in _cycle_blocks([c for c in members if c[3] <= chosen]):
-                if sum(c[2] for c in held) > len(frozenset().union(*(c[3] for c in held))):
+            for held in blocks([c for c in members if c[3] <= chosen]):
+                if len(held) > 1 and sum(c[2] for c in held) > len(frozenset().union(*(c[3] for c in held))):
                     return False
     return True

@@ -1,11 +1,12 @@
 """The ear-reduction engine.
 
 A step removes an isolated vertex, a degree-1 vertex, or the interior of a
-strict ear of length at least p (exactly p in exact-ear mode).  A graph is
-p-path degenerate when some sequence of steps empties it; since any
-subgraph of a degenerate graph is degenerate, greedy maximal reduction
-decides the property, and the order-insensitive backtracking oracle here
-exists to keep that assumption honest.
+strict ear of length at least p.  A graph is p-path degenerate when some
+sequence of steps empties it; since any subgraph of a degenerate graph is
+degenerate, greedy maximal reduction decides the property, and the
+order-insensitive backtracking oracle here exists to keep that assumption
+honest.  Each step records the vertices it deletes, and an independent
+checker replays a certificate step by step.
 
 The greedy engine takes the smallest applicable step every time: an
 isolated vertex before a leaf, each the smallest such vertex, and an ear
@@ -36,20 +37,18 @@ deletes and the chains it rebuilds: only a leaf's neighbour or an ear's
 two ends stay behind with a lower degree.  A merged chain is walked
 whole when it is rebuilt, so a chain that grows one merge at a time (the
 rim of a wheel whose spokes are deleted in turn) keeps the worst case
-quadratic.  The choice rule and the certificate format are unchanged
-from the engine that rescanned the whole graph for every step; the tests
-keep that scan as a reference and compare certificates step by step.
+quadratic.  The tests hold it to a whole-graph scan, step by step.
 
-Certificates are replayable: each step records the vertices it deletes,
-and an independent checker validates applicability step by step.
-
-One greedy run serves a whole pipeline on one graph.  `greedy_reduce`,
-`is_p_path_degenerate`, `certificate_or_raise`, and through them both
-colorings and `wcol.weak_order`, share the run's (certificate, survivors),
-one per (p, exact_ears), in `graph.derived`'s slot for the graph object
-last passed, beside that graph's `core_skeleton`.  The match is by
-identity (`is`), never by equality: an equal graph built anew is decided
-afresh.  The results are frozen, so sharing them is safe.
+One greedy run serves a whole pipeline on one graph, and the engine has
+one mode: an exact-ear certificate is the run's with each ear v0..vL,
+L > p, cut to v0..vp and followed by leaf steps on vp, ..., v(L-1),
+which leave the same graph.  `greedy_reduce`, `is_p_path_degenerate`,
+`certificate_or_raise`, and through them both colorings and
+`wcol.weak_order`, share the run's (certificate, survivors) and that
+rewrite, one per p, in `graph.derived`'s slot for the graph object last
+passed, beside that graph's `core_skeleton`.  The match is by identity
+(`is`), never by equality: an equal graph built anew is decided afresh.
+The results are frozen, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -128,39 +127,29 @@ def _window_key(s: list[int], i: int, j: int) -> tuple[int, ...]:
     return (s[j], s[i], *s[j - 1:i:-1])
 
 
-def _best_fixed_width(s: list[int], w: int, count: int) -> tuple[int, ...]:
-    """Smallest key among the windows s[i..i+w], i < count.  The endpoint
-    pair decides unless windows share it; only those are spelled out."""
-    pairs = [(a, b) if a < b else (b, a) for a, b in zip(s[:count], s[w:])]
-    best = min(pairs)
-    return min(_window_key(s, i, i + w) for i, pair in enumerate(pairs) if pair == best)
-
-
 def _holds_ear(s: list[int], p: int) -> bool:
     """Whether a `graph.chains_through` chain s holds an ear of length >= p:
     an open one of length >= p, a loop or cycle component of length > p."""
     return len(s) - 1 >= p + (s[0] == s[-1])
 
 
-def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, ...] | None:
+def _chain_best(s: list[int], closed: bool, p: int) -> tuple[int, ...] | None:
     """Key of the smallest applicable ear on one maximal degree-2 chain.
 
     closed: s is a cycle component in cyclic order, and the candidates are
-    its runs of w+1 consecutive vertices, w = p (exact) or len(s)-1 (the
-    cycle minus one edge).  Otherwise s runs from a branch vertex to a
-    branch vertex (the same one for a loop), and the candidates are its
-    sub-paths of length >= p with an end at s[0] or s[-1] (exact: all its
-    sub-paths of length p), except the closed walk of a loop.
+    its runs of len(s) consecutive vertices (the cycle minus one edge).
+    Otherwise s runs from a branch vertex to a branch vertex (the same one
+    for a loop), and the candidates are its sub-paths of length >= p with
+    an end at s[0] or s[-1], except the closed walk of a loop.
     """
     if not _holds_ear(s, p):
         return None
     m = len(s) - 1
-    if closed:
-        w = p if exact else m
-        return _best_fixed_width(s + s[:w], w, len(s))
+    if closed:   # drop the edge from the smallest vertex to its smaller neighbour
+        i = s.index(min(s))
+        s = s[i:] + s[:i]
+        return _window_key(s if s[m] < s[1] else [s[0], *s[:0:-1]], 0, m)
     loop = s[0] == s[m]
-    if exact:
-        return _best_fixed_width(s, p, m - p + 1)
     # With one end fixed, the smallest pair has the smallest other end.
     j = s.index(min(s[p:m if loop else m + 1]), p)
     lo = 1 if loop else 0
@@ -172,17 +161,17 @@ def _chain_best(s: list[int], closed: bool, p: int, exact: bool) -> tuple[int, .
     return min(_window_key(s, 0, j), _window_key(s, i, m))
 
 
-def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
-              p: int, exact: bool) -> tuple[int, ...] | None:
+def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int], p: int) -> tuple[int, ...] | None:
     """The smallest applicable ear, once no vertex has degree below 2.
     Pushes the chains through `dirty` and clears it, then pops `chains`
     until an entry is current: its vertex s[1], inside the chain, is still
     there and its ends still branch."""
-    for s, closed in chains_through(adj, dirty):
-        key = _chain_best(s, closed, p, exact)
-        if key is not None:
-            heappush(chains, (key, s[1], () if closed else (s[0], s[-1])))
-    dirty.clear()
+    if dirty:
+        for s, closed in chains_through(adj, dirty):
+            key = _chain_best(s, closed, p)
+            if key is not None:
+                heappush(chains, (key, s[1], () if closed else (s[0], s[-1])))
+        dirty.clear()
     while chains:
         key, v, ends = heappop(chains)
         if v in adj and (not ends or len(adj[ends[0]]) > 2 and len(adj[ends[1]]) > 2):
@@ -190,7 +179,7 @@ def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int],
     return None
 
 
-def _peel(adj: dict[int, set[int]], p: int, exact: bool):
+def _peel(adj: dict[int, set[int]], p: int):
     """Yield the greedy steps in order; resuming deletes the last yielded
     step from adj.  Ends when adj is p-irreducible."""
     if p < 2:
@@ -209,7 +198,7 @@ def _peel(adj: dict[int, set[int]], p: int, exact: bool):
             dirty.discard(v)
             cut = [(u, v) for u in adj.pop(v)]
         else:
-            ear = _next_ear(adj, chains, dirty, p, exact)
+            ear = _next_ear(adj, chains, dirty, p)
             if ear is None:
                 return
             yield ReductionStep(EAR, ear)
@@ -225,24 +214,37 @@ def _peel(adj: dict[int, set[int]], p: int, exact: bool):
                 dirty.add(u)
 
 
+def _exact_steps(steps, p: int):
+    """The steps, each ear v0..vL with L > p as the ear v0..vp and leaf
+    steps on vp, ..., v(L-1): alike on open chains, loops and cycles."""
+    for step in steps:
+        vs = step.vertices
+        if step.kind == EAR and len(vs) > p + 1:
+            yield ReductionStep(EAR, vs[:p + 1])
+            yield from (ReductionStep(LEAF, (v,)) for v in vs[p:-1])
+        else:
+            yield step
+
+
 def find_p_reduction(g: Graph, p: int, exact_ears: bool = False) -> ReductionStep | None:
-    """The first step of the greedy engine, or None iff g is
-    p-irreducible.  The choice is deterministic: isolated < leaf < ear,
-    ties to the smallest vertex, ears to the smallest (endpoint pair,
-    interior)."""
-    return next(_peel(_work_adj(g), p, exact_ears), None)
+    """The first step of the greedy engine, or of its exact-ear rewrite,
+    or None iff g is p-irreducible: the module's deterministic rule."""
+    steps = _peel(_work_adj(g), p)
+    return next(_exact_steps(steps, p) if exact_ears else steps, None)
 
 
 def _reduce(g: Graph, p: int, exact_ears: bool) -> tuple[ReductionSequence, tuple[int, ...]]:
-    """The greedy run: its certificate and the sorted vertices it leaves.
-    Kept in `graph.derived`'s slot under (p, exact_ears), so a pipeline on
-    one graph object runs the engine once per (p, exact_ears)."""
+    """The greedy run: its certificate and the sorted vertices it leaves,
+    kept in `graph.derived`'s slot under (p, False), and its exact-ear
+    rewrite under (p, True): one engine run per graph object and p."""
     def run(g: Graph):
         adj = _work_adj(g)
-        steps = tuple(_peel(adj, p, exact_ears))
-        return ReductionSequence(p=p, steps=steps, exact_ears=exact_ears), tuple(sorted(adj))
+        return ReductionSequence(p, tuple(_peel(adj, p))), tuple(sorted(adj))
 
-    return derived(g, (p, exact_ears), run)
+    cert, survivors = derived(g, (p, False), run)
+    if exact_ears:
+        return derived(g, (p, True), lambda g: (ReductionSequence(p, tuple(_exact_steps(cert.steps, p)), True), survivors))
+    return cert, survivors
 
 
 def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):

@@ -1,5 +1,5 @@
 """Weak reachability, weak coloring numbers, and the linear order built
-from an exact-ear reduction certificate.
+from the exact-ear rewrite of the greedy reduction certificate.
 
 A vertex u is weakly x-reachable from v under an order when u <= v in the
 order and some u-v path of length at most x keeps all its internal
@@ -139,8 +139,8 @@ def wreach_bound_ok(size: int, x: int, params: WcolBoundParams) -> bool:
 
 def weak_order(g: Graph, params: WcolBoundParams) -> LinearOrder:
     """Linear order certifying |WReach_x| <= wcol_girth_rule(x, q) for all
-    1 <= x <= r.  Requires g to be 2q-path degenerate; the certificate is
-    computed internally with ears of length exactly 2q."""
+    1 <= x <= r.  Requires g to be 2q-path degenerate; it reads the
+    exact-ear rewrite of the greedy run at p = 2q."""
     cert = certificate_or_raise(g, params.p, exact_ears=True)
     q = params.q
     # Each ear's midpoint goes before everything placed so far, so the

@@ -2,10 +2,12 @@
 
 Every step rescans all vertices for an isolated or degree-1 vertex and
 walks out of every directed edge for the best ear, so a step costs at
-least O(n + m) and a whole reduction quadratic time.  It applies the same deterministic rule as the peeling engine
-in `pathdeg.reduction` (isolated < leaf, ties to the smallest vertex;
-ears by smallest (endpoint pair, interior)) by brute force, and the tests
-hold the two to identical certificates step by step.
+least O(n + m) and a whole reduction quadratic time.  It applies the
+same deterministic rule as the peeling engine in `pathdeg.reduction`
+(isolated < leaf, ties to the smallest vertex; ears by smallest
+(endpoint pair, interior)) by brute force, and the tests hold the two to
+identical certificates step by step.  Exact-ear certificates are a
+rewrite of these, checked by replay.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ def _ear_key(path: list[int]) -> tuple[int, ...]:
     return (path[0], path[-1], *path[1:-1])
 
 
-def _best_ear(adj: dict[int, set[int]], p: int, exact: bool) -> tuple[int, ...] | None:
+def _best_ear(adj: dict[int, set[int]], p: int) -> tuple[int, ...] | None:
     """Deterministically smallest applicable ear: walk out of every
-    directed edge through degree-2 vertices; in exact mode take the prefix
-    of length exactly p, otherwise the maximal prefix (if long enough).
-    Candidates are compared by (endpoint pair, interior)."""
+    directed edge through degree-2 vertices and take the maximal prefix
+    (if long enough).  Candidates are compared by (endpoint pair,
+    interior)."""
     best_key = None
     best_path = None
     for a0 in adj:
@@ -31,16 +33,13 @@ def _best_ear(adj: dict[int, set[int]], p: int, exact: bool) -> tuple[int, ...] 
             path = [a0, a1]
             while True:
                 last = path[-1]
-                if exact and len(path) - 1 == p:
-                    break
                 if len(adj[last]) != 2:
                     break
                 nxt = next(iter(adj[last] - {path[-2]}))
                 if nxt == a0:
                     break
                 path.append(nxt)
-            length = len(path) - 1
-            if length < p or (exact and length != p):
+            if len(path) - 1 < p:
                 continue
             key = _ear_key(path)
             if best_key is None or key < best_key:
@@ -49,14 +48,14 @@ def _best_ear(adj: dict[int, set[int]], p: int, exact: bool) -> tuple[int, ...] 
     return best_path
 
 
-def _find_step(adj: dict[int, set[int]], p: int, exact: bool) -> ReductionStep | None:
+def _find_step(adj: dict[int, set[int]], p: int) -> ReductionStep | None:
     isolated = [v for v, nb in adj.items() if not nb]
     if isolated:
         return ReductionStep(ISOLATED, (min(isolated),))
     leaves = [v for v, nb in adj.items() if len(nb) == 1]
     if leaves:
         return ReductionStep(LEAF, (min(leaves),))
-    ear = _best_ear(adj, p, exact)
+    ear = _best_ear(adj, p)
     if ear is not None:
         return ReductionStep(EAR, ear)
     return None

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -13,7 +14,7 @@ from pathdeg.colorings import (
     verify_cycle_rainbow,
     verify_proper,
 )
-from pathdeg.graph import enumerate_cycles
+from pathdeg.graph import chain_graph, enumerate_cycles
 from pathdeg.reduction import NotPathDegenerate, is_p_path_degenerate
 
 from conftest import chain_graphs, degenerate_subdivisions, random_graph, star, trees_and_subdivisions
@@ -82,6 +83,23 @@ class TestVerifiers:
         with pytest.raises(ValueError, match=f"needs 6906900 color subsets, over the limit of {MAX_COLOR_SUBSETS}"):
             verify_cycle_rainbow(g, coloring, t=10)
         assert verify_cycle_rainbow(g, coloring, t=4)
+
+    def test_loops_are_decided_without_color_subsets(self):
+        # two 20-edge loop chains at vertex 0 and a 20-edge cycle component:
+        # at t = 10 each is a block of 20 colors, 3 * C(20, 9) subsets in all
+        # if loops were counted, but a loop is decided by its color count
+        g = chain_graph(2, [(0, 0, 20), (0, 0, 20), (1, 1, 20)])
+        rainbow = EdgeColoring({e: i for i, e in enumerate(sorted(g.edges))})
+        with pytest.raises(ValueError, match=f"needs {3 * math.comb(20, 9)} color subsets"):
+            verify_cycle_rainbow_by_blocks(g, rainbow, 10)
+        assert verify_cycle_rainbow(g, rainbow, t=10)
+        component = {1, *range(40, 59)}      # vertex 1 and the third link's interior
+        for kept, verdict in ((9, False), (10, True)):
+            # the cycle component's 20 edges recolored with `kept` colors
+            colors = dict(rainbow.colors)
+            for i, e in enumerate(sorted(e for e in g.edges if e[0] in component)):
+                colors[e] = i % kept
+            assert verify_cycle_rainbow(g, EdgeColoring(colors), t=10) == verdict
 
     def test_subset_larger_than_threshold_minus_one_not_used(self):
         # the 4-cycle colored 1, 2, 1, 3 sees 3 >= min(4, 3) colors

@@ -1,6 +1,8 @@
 """The peeling engine against the whole-graph scan in `scan_oracle`: every
 greedy certificate step must be the step the scan picks on the graph
-left by the steps before it."""
+left by the steps before it.  The exact-ear certificate, a rewrite of
+that run, must replay with ears of length exactly p and leave the same
+vertices."""
 
 import random
 
@@ -10,28 +12,51 @@ from hypothesis import strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, subdivide
 from pathdeg.graph import chain_graph, induced_subgraph
-from pathdeg.reduction import _delete_vertices, _work_adj, find_p_reduction, greedy_reduce
+from pathdeg.reduction import (_delete_vertices, _step_error, _work_adj, find_p_reduction, greedy_reduce,
+                               is_p_path_degenerate, replay_certificate)
 
 from conftest import spoked_wheel
 from scan_oracle import _find_step
 
 
-def assert_matches_scan(g, p, exact):
-    cert, residual = greedy_reduce(g, p, exact_ears=exact)
-    assert find_p_reduction(g, p, exact_ears=exact) == (cert.steps[0] if cert.steps else None)
+def assert_matches_scan(g, p):
+    cert, residual = greedy_reduce(g, p)
+    assert find_p_reduction(g, p) == (cert.steps[0] if cert.steps else None)
     adj = _work_adj(g)
     for step in cert.steps:
-        assert step == _find_step(adj, p, exact)
+        assert step == _find_step(adj, p)
         _delete_vertices(adj, step.deleted)
-    assert _find_step(adj, p, exact) is None
+    assert _find_step(adj, p) is None
     assert residual == induced_subgraph(g, adj)
+
+
+def assert_exact_rewrite(g, p):
+    """The exact-ear certificate replays with exact_ears=True, leaves the
+    plain run's witness_vertices, and gives the same decision."""
+    plain = is_p_path_degenerate(g, p)
+    exact = is_p_path_degenerate(g, p, exact_ears=True)
+    cert, _ = greedy_reduce(g, p, exact_ears=True)
+    assert cert.exact_ears
+    assert find_p_reduction(g, p, exact_ears=True) == (cert.steps[0] if cert.steps else None)
+    adj = _work_adj(g)
+    for step in cert.steps:
+        assert _step_error(adj, step, p, True) is None, step
+        _delete_vertices(adj, step.deleted)
+    assert tuple(sorted(adj)) == exact.witness_vertices == plain.witness_vertices
+    assert exact.degenerate == plain.degenerate
+    if exact.degenerate:
+        replay_certificate(g, exact.certificate)
+
+
+def assert_greedy(g, p, exact):
+    (assert_exact_rewrite if exact else assert_matches_scan)(g, p)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_corpus(exhaustive_corpus, p, exact):
     for g in exhaustive_corpus:
-        assert_matches_scan(g, p, exact)
+        assert_greedy(g, p, exact)
 
 
 @pytest.mark.parametrize("name", ["dodecahedron", "petersen", "heawood", "tutte-coxeter"])
@@ -40,7 +65,7 @@ def test_subdivided_fixtures(name):
         g = subdivide(fixture(name), k)
         for p in range(2, 8):
             for exact in (False, True):
-                assert_matches_scan(g, p, exact)
+                assert_greedy(g, p, exact)
 
 
 @pytest.mark.parametrize("length", [1, 2, 4])
@@ -53,7 +78,7 @@ def test_wheels_with_subdivided_spokes(length):
         for h in (g, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
             for p in range(2, 6):
                 for exact in (False, True):
-                    assert_matches_scan(h, p, exact)
+                    assert_greedy(h, p, exact)
 
 
 def disjoint_union(*graphs):
@@ -74,8 +99,8 @@ ATTACHMENTS = {
     # isolated vertices and K2s (two leaves that detach from each other)
     "k1-k2-beside-cycles": lambda p: disjoint_union(build_graph(1, []), complete(2), cycle(p + 2),
                                                       complete(2), cycle(p + 1), build_graph(1, [])),
-    # exact mode takes a cycle of length p+1, or a loop of that length at a
-    # branch vertex, by an ear whose two ends are adjacent
+    # a cycle of length p+1, or a loop of that length at a branch vertex,
+    # goes by one ear of length p whose two ends are adjacent
     "ear-ends-adjacent": lambda p: disjoint_union(cycle(p + 1), chain_graph(1, [(0, 0, p + 1), (0, 0, p + 1)])),
 }
 
@@ -88,14 +113,14 @@ def test_attachment_cases(name):
         random.Random(p).shuffle(perm)
         for h in (g, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
             for exact in (False, True):
-                assert_matches_scan(h, p, exact)
+                assert_greedy(h, p, exact)
 
 
 def test_cycles():
     for n in range(3, 14):
         for p in range(2, n + 2):
             for exact in (False, True):
-                assert_matches_scan(cycle(n), p, exact)
+                assert_greedy(cycle(n), p, exact)
 
 
 @st.composite
@@ -114,7 +139,7 @@ def sparse_graphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sparse_graphs(), st.integers(2, 6), st.booleans())
 def test_random_sparse_graphs(g, p, exact):
-    assert_matches_scan(g, p, exact)
+    assert_greedy(g, p, exact)
 
 
 @st.composite
@@ -141,13 +166,13 @@ def disjoint_unions(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(dense_graphs(), st.integers(2, 6), st.booleans())
 def test_dense_random_graphs(g, p, exact):
-    assert_matches_scan(g, p, exact)
+    assert_greedy(g, p, exact)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(disjoint_unions(), st.integers(2, 6), st.booleans())
 def test_disjoint_unions(g, p, exact):
-    assert_matches_scan(g, p, exact)
+    assert_greedy(g, p, exact)
 
 
 @st.composite
@@ -174,4 +199,4 @@ def chain_multigraphs(draw):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(chain_multigraphs(), st.integers(2, 6), st.booleans())
 def test_chain_multigraphs(g, p, exact):
-    assert_matches_scan(g, p, exact)
+    assert_greedy(g, p, exact)

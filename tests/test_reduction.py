@@ -343,9 +343,9 @@ def engine_runs(monkeypatch):
     runs = []
     peel = reduction._peel
 
-    def counted(adj, p, exact):
-        runs.append((p, exact))
-        return peel(adj, p, exact)
+    def counted(adj, p):
+        runs.append(p)
+        return peel(adj, p)
 
     monkeypatch.setattr(reduction, "_peel", counted)
     return runs
@@ -362,16 +362,28 @@ class TestOneRunPerGraph:
         arb = arboricity_coloring(g, 3)
         acyclic = acyclic_edge_coloring(g, 3)
         assert verdict.degenerate
-        assert engine_runs == [(4, False)]
+        assert engine_runs == [4]
         assert arb == arboricity_coloring(_copy(g), 3)
         assert acyclic == acyclic_edge_coloring(_copy(g), 3)
+
+    def test_decision_colorings_and_weak_order_share_one_run(self, engine_runs):
+        # p = 2q = r+1 = 4: the weak order reads the exact-ear rewrite
+        g = subdivide(fixture("petersen"), 3)
+        params = WcolBoundParams(r=1, q=2)
+        assert is_p_path_degenerate(g, params.p).degenerate
+        arb = arboricity_coloring(g, 3)
+        acyclic = acyclic_edge_coloring(g, 3)
+        order = weak_order(g, params)
+        assert engine_runs == [4]
+        assert (arb, acyclic, order) == (arboricity_coloring(_copy(g), 3), acyclic_edge_coloring(_copy(g), 3),
+                                         weak_order(_copy(g), params))
 
     def test_rebuilt_copy_is_decided_afresh(self, engine_runs):
         g = subdivide(fixture("petersen"), 3)
         h = _copy(g)
         assert h == g and h is not g
         assert is_p_path_degenerate(g, 4) == is_p_path_degenerate(h, 4)
-        assert engine_runs == [(4, False), (4, False)]
+        assert engine_runs == [4, 4]
 
     def test_exact_and_non_exact_kept_apart(self, engine_runs):
         g = cycle(7)
@@ -380,7 +392,8 @@ class TestOneRunPerGraph:
         assert loose.certificate != exact.certificate
         assert greedy_reduce(g, 3)[0] == loose.certificate
         assert certificate_or_raise(g, 3, exact_ears=True) == exact.certificate
-        assert engine_runs == [(3, False), (3, True)]
+        # the exact-ear certificate is a rewrite of the one plain run
+        assert engine_runs == [3]
         assert loose == is_p_path_degenerate(_copy(g), 3)
         assert exact == is_p_path_degenerate(_copy(g), 3, exact_ears=True)
 
@@ -390,7 +403,7 @@ class TestOneRunPerGraph:
             certificate_or_raise(g, 5)
         verdict = is_p_path_degenerate(g, 5)
         assert verdict.witness == g and verdict.witness_vertices == tuple(range(5))
-        assert engine_runs == [(5, False)]
+        assert engine_runs == [5]
 
     def test_earlier_graph_is_not_kept_alive(self):
         g = subdivide(fixture("petersen"), 3)
@@ -463,10 +476,10 @@ class TestOneSkeletonPerGraph:
         arb = arboricity_coloring(g, 3)
         assert girth(g) == value and verify_cycle_rainbow(g, arb, 4)
         assert is_p_path_degenerate(g, 4).degenerate
-        assert engine_runs == [(4, False)] and skeleton_builds == [g]
+        assert engine_runs == [4] and skeleton_builds == [g]
         girth(cycle(5))             # another graph empties the slot
         assert is_p_path_degenerate(g, 4).degenerate and girth(g) == value
-        assert engine_runs == [(4, False), (4, False)]
+        assert engine_runs == [4, 4]
         assert skeleton_builds == [g, cycle(5), g]
 
     def test_rebuilt_copy_is_computed_afresh(self, skeleton_builds):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
 from pathdeg.bounds import wcol_girth_rule
+from pathdeg.graph import chain_graph
 from pathdeg.reduction import NotPathDegenerate
 from pathdeg.wcol import (
     LinearOrder,
@@ -205,7 +206,35 @@ def _subdivided_instances(draw):
     return params, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+@st.composite
+def _long_chain_instances(draw):
+    """(params, graph): up to five branch vertices joined by up to seven
+    chains of 2q to 4q edges, loops and parallel chains included,
+    relabeled by a random permutation.  Every chain holds an ear, so the
+    graph is 2q-path degenerate, and most greedy ears are longer than 2q:
+    the order reads their exact-ear rewrite."""
+    r = draw(st.integers(1, 3))
+    params = WcolBoundParams(r, draw(st.integers(r + 1, 2 * r + 1)))
+    k = draw(st.integers(1, 5))
+    links = []
+    for _ in range(draw(st.integers(1, 7))):
+        u, v = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        links.append((u, v, draw(st.integers(params.p + (u == v), 2 * params.p))))
+    g = chain_graph(k, links)
+    perm = draw(st.permutations(range(g.n)))
+    return params, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 class TestWeakOrder:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_long_chain_instances())
+    def test_girth_rule_met_on_long_chain_subdivisions(self, instance):
+        params, g = instance
+        maxima = wreach_maxima(g, weak_order(g, params), params.r)
+        assert maxima[0] == 1
+        for x, size in enumerate(maxima[1:], start=1):
+            assert size <= wcol_girth_rule(x, params.q), (x, size)
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_subdivided_instances())
     def test_bound_holds_on_random_subdivisions(self, instance):
