@@ -239,7 +239,8 @@ def _reduce(g: Graph, p: int, exact_ears: bool) -> tuple[ReductionSequence, tupl
     rewrite under (p, True): one engine run per graph object and p."""
     def run(g: Graph):
         adj = _work_adj(g)
-        return ReductionSequence(p, tuple(_peel(adj, p))), tuple(sorted(adj))
+        steps = tuple(_peel(adj, p))
+        return ReductionSequence(p=p, steps=steps), tuple(sorted(adj))
 
     cert, survivors = derived(g, (p, False), run)
     if exact_ears:
