@@ -13,6 +13,14 @@ enough distinct colors maintains the cycle conditions:
   at most max(degree, r) colors with every cycle seeing at least
   min(|C|, r) of them.
 
+Both read one backward build of the certificate (`_backward_paths`), the
+paths its steps add back, kept in `graph.derived` beside the greedy run
+it reads: colorings with the same p on one graph object build it once.
+Each end of a path takes the smallest color missing there, from a
+pointer per vertex that only moves up, and the rest of the path counts
+its colors up from 1 past those two.  So each vertex and edge costs O(1)
+amortized, and the acyclic coloring is linear at a hub of any degree.
+
 `verify_cycle_rainbow` checks the cycle condition by blocks of unions of
 color classes, not by listing cycles: r+1 color subsets per block for an
 arboricity coloring, C(max(degree, r), r-1) for an acyclic one, each
@@ -25,9 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, cycle, islice
 
-from .graph import Graph, blocks, core_skeleton, normalize_edge
+from .graph import Graph, blocks, core_skeleton, derived
 from .reduction import EAR, LEAF, certificate_or_raise
 
 
@@ -42,20 +50,33 @@ class EdgeColoring:
         return len(set(self.colors.values()))
 
 
-def _backward_paths(g: Graph, cert):
-    """Yield, in reverse deletion order, the path each step adds back:
-    (u, v) for a leaf v attached at u, the vertex sequence for an ear.
-    Every edge of g lies on exactly one of them."""
-    built: set[int] = set()
-    for step in reversed(cert.steps):
-        if step.kind == LEAF:
-            (v,) = step.vertices
-            attached = [u for u in g.adj[v] if u in built]
-            assert len(attached) == 1, "leaf step must attach by exactly one edge"
-            yield (attached[0], v)
-        elif step.kind == EAR:
-            yield step.vertices
-        built.update(step.deleted)
+def _backward_paths(g: Graph, p: int) -> tuple:
+    """The paths the steps of g's greedy p-certificate add back, in reverse
+    deletion order: (u, v) for a leaf v attached at u, the vertex sequence
+    for an ear.  Every edge of g lies on exactly one of them.  Raises
+    NotPathDegenerate when g is not p-path degenerate.
+
+    Built once per graph object and p (`derived`) and shared: readers
+    must not change it."""
+    def build(g: Graph) -> tuple:
+        built = [False] * g.n
+        paths = []
+        for step in reversed(certificate_or_raise(g, p).steps):
+            vs = step.vertices
+            if step.kind == EAR:
+                paths.append(vs)
+                for v in vs[1:-1]:
+                    built[v] = True
+                continue
+            (v,) = vs
+            if step.kind == LEAF:
+                attached = [u for u in g.adj[v] if built[u]]
+                assert len(attached) == 1, "leaf step must attach by exactly one edge"
+                paths.append((attached[0], v))
+            built[v] = True
+        return tuple(paths)
+
+    return derived(g, ("backward_paths", p), build)
 
 
 def arboricity_coloring(g: Graph, r: int) -> EdgeColoring:
@@ -63,20 +84,18 @@ def arboricity_coloring(g: Graph, r: int) -> EdgeColoring:
     colors.  Requires g to be (r+1)-path degenerate."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    cert = certificate_or_raise(g, r + 1)
+    paths = _backward_paths(g, r + 1)
     colors: dict[tuple[int, int], int] = {}
-    for seq in _backward_paths(g, cert):   # r+1 colors cyclically along each path
-        for i, (a, b) in enumerate(zip(seq, seq[1:])):
-            colors[normalize_edge(a, b)] = i % (r + 1) + 1
+    wheel = [i % (r + 1) + 1 for i in range(max(map(len, paths), default=0))]
+    for seq in paths:                      # r+1 colors cyclically along each path
+        if len(seq) == 2:                  # a leaf edge
+            u, v = seq
+            colors[(u, v) if u < v else (v, u)] = 1
+            continue
+        for a, b, c in zip(seq, seq[1:], wheel):
+            colors[(a, b) if a < b else (b, a)] = c
     assert len(colors) == g.m, "certificate replay must color every edge once"
     return EdgeColoring(colors=colors)
-
-
-def _smallest_missing(used, limit: int) -> int:
-    for c in range(1, limit + 1):
-        if c not in used:
-            return c
-    raise AssertionError("no free color below the palette limit")
 
 
 def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
@@ -85,38 +104,50 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
     (r+1)-path degenerate."""
     if r < 3:
         raise ValueError("r must be >= 3")
-    cert = certificate_or_raise(g, r + 1)
+    paths = _backward_paths(g, r + 1)
     limit = max(g.max_degree(), r)
     colors: dict[tuple[int, int], int] = {}
-    at: list[set[int]] = [set() for _ in range(g.n)]   # colors on the edges at each vertex
+    # A path meets the graph built before it only at its ends, and each end
+    # takes the smallest color missing there.  So the colors at v are the
+    # ones its own path gave it (made[v]: none, one for a leaf, two inside
+    # an ear) and every other color below nxt[v], a pointer that only
+    # moves up: O(1) amortized per edge, at a hub too.
+    made: list[tuple[int, ...]] = [()] * g.n
+    nxt = [1] * g.n
 
-    def assign(e: tuple[int, int], c: int) -> None:
-        colors[e] = c
-        at[e[0]].add(c)
-        at[e[1]].add(c)
+    def take(v: int) -> int:
+        """The smallest color missing at v, which the caller puts there."""
+        c = nxt[v]
+        while c in made[v]:
+            c += 1
+        nxt[v] = c + 1
+        return c
 
-    for seq in _backward_paths(g, cert):
-        edges = [normalize_edge(a, b) for a, b in zip(seq, seq[1:])]
-        k = len(edges)                        # 1 for a leaf edge, >= r+1 for an ear
-        alpha = _smallest_missing(at[seq[0]], limit)
-        assign(edges[0], alpha)
+    for seq in paths:
+        k = len(seq) - 1                      # 1 for a leaf edge, >= r+1 for an ear
+        alpha = take(seq[0])
         if k == 1:
+            u, v = seq
+            colors[(u, v) if u < v else (v, u)] = alpha
+            made[v] = (alpha,)
             continue
-        beta = _smallest_missing(at[seq[-1]], limit)
-        assign(edges[-1], beta)
+        beta = take(seq[-1])
+        out = [alpha]
         if alpha != beta:
-            middle = [c for c in range(1, limit + 1) if c not in (alpha, beta)][: r - 2]
-            for i, c in enumerate(middle, start=1):
-                assign(edges[i], c)
-            for i in range(r - 1, k - 1):
-                banned = {colors[edges[i - 1]]}
-                if i == k - 2:
-                    banned.add(beta)
-                assign(edges[i], _smallest_missing(banned, limit))
+            out += islice((c for c in count(1) if c != alpha and c != beta), r - 2)
+            for i in range(r - 1, k - 1):     # the smallest color unlike its neighbours
+                c = 1
+                while c == out[-1] or (i == k - 2 and c == beta):
+                    c += 1
+                out.append(c)
         else:
-            palette = [c for c in range(1, limit + 1) if c != alpha][:r]
-            for i in range(1, k - 1):
-                assign(edges[i], palette[(i - 1) % len(palette)])
+            palette = [c + (c >= alpha) for c in range(1, min(r, limit - 1) + 1)]
+            out += islice(cycle(palette), k - 2)
+        out.append(beta)
+        for a, b, c in zip(seq, seq[1:], out):
+            colors[(a, b) if a < b else (b, a)] = c
+        for v, c, d in zip(seq[1:-1], out, out[1:]):
+            made[v] = (c, d)
     assert len(colors) == g.m
     coloring = EdgeColoring(colors=colors)
     assert coloring.num_colors <= limit
@@ -126,13 +157,18 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
 MAX_COLOR_SUBSETS = 100_000      # the most color subsets verify_cycle_rainbow checks
 
 
+def _total(g: Graph, coloring: EdgeColoring) -> dict[tuple[int, int], int]:
+    """coloring.colors, if it covers exactly the edges of g; else raises."""
+    if coloring.colors.keys() != g.edges:
+        raise ValueError("coloring is not a total mapping on the graph's edges")
+    return coloring.colors
+
+
 def _colors_at(g: Graph, coloring: EdgeColoring) -> list[dict[int, int]]:
     """at[u][v]: the color of edge uv.  Raises on a coloring that does not
     cover exactly the edges of g."""
-    if set(coloring.colors) != set(g.edges):
-        raise ValueError("coloring is not a total mapping on the graph's edges")
     at: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for (u, v), c in coloring.colors.items():
+    for (u, v), c in _total(g, coloring).items():
         at[u][v] = at[v][u] = c
     return at
 
@@ -140,7 +176,13 @@ def _colors_at(g: Graph, coloring: EdgeColoring) -> list[dict[int, int]]:
 def verify_proper(g: Graph, coloring: EdgeColoring) -> bool:
     """True iff no two edges sharing a vertex share a color.  Raises on a
     coloring that does not cover every edge of g."""
-    return all(len(set(c.values())) == len(c) for c in _colors_at(g, coloring))
+    seen: list[set] = [set() for _ in range(g.n)]   # the colors met so far at each vertex
+    for (u, v), c in _total(g, coloring).items():
+        if c in seen[u] or c in seen[v]:
+            return False
+        seen[u].add(c)
+        seen[v].add(c)
+    return True
 
 
 def verify_cycle_rainbow(g: Graph, coloring: EdgeColoring, t: int) -> bool:

@@ -8,7 +8,9 @@
   component.
 - `verify_cycle_rainbow_by_blocks` is the cycle-rainbow check that
   `colorings.verify_cycle_rainbow` replaced: `blocks` over every edge of
-  a block, once per color subset.
+  a block, once per color subset, but a block that is one cycle through
+  at most one branch vertex by its color count alone, as production
+  decides a loop of the chain skeleton.
 Both run in polynomial time, so they serve as references at any size
 the tests reach.
 """
@@ -118,6 +120,26 @@ def girth_bfs(g: Graph):
     return best
 
 
+def _core_degrees(g: Graph) -> list[int]:
+    """Each vertex's degree in the 2-core of g, 0 off it: vertices of
+    degree < 2 deleted one at a time."""
+    deg = g.degrees()
+    stack = [v for v in range(g.n) if deg[v] < 2]
+    gone = [False] * g.n
+    while stack:
+        v = stack.pop()
+        if gone[v]:
+            continue
+        gone[v] = True
+        deg[v] = 0
+        for w in g.adj[v]:
+            if not gone[w]:
+                deg[w] -= 1
+                if deg[w] < 2:
+                    stack.append(w)
+    return deg
+
+
 def verify_cycle_rainbow_by_blocks(g: Graph, coloring: EdgeColoring, t: int) -> bool:
     """True iff every simple cycle C carries >= min(|C|, t) distinct
     colors.  Raises ValueError if t < 2, on a coloring that does not cover
@@ -127,13 +149,26 @@ def verify_cycle_rainbow_by_blocks(g: Graph, coloring: EdgeColoring, t: int) -> 
     of min(k, t-1) of the k colors of B; it repeats a color inside a block
     of the S-colored edges of B.  Conversely, two edges of one color in
     such a block lie on a common cycle (Whitney), which then fails.  So
-    each block with a cycle costs C(k, min(k, t-1)) linear passes.
+    each block with a cycle costs C(k, min(k, t-1)) linear passes, except
+    a block that is one cycle through at most one vertex of 2-core degree
+    >= 3 (a loop of the chain skeleton): its one cycle of L edges fails
+    exactly when k < min(L, t), and it costs no subset.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     at = _colors_at(g, coloring)
-    # a block of fewer than 3 edges is a bridge
-    work = [(b, sorted({at[u][v] for u, v in b})) for b in blocks(g.edges) if len(b) >= 3]
+    core = _core_degrees(g)
+    work = []
+    for block in blocks(g.edges):
+        if len(block) < 3:                # a bridge
+            continue
+        palette = sorted({at[u][v] for u, v in block})
+        ends = {x for e in block for x in e}
+        if len(ends) == len(block) and sum(core[x] >= 3 for x in ends) <= 1:
+            if len(palette) < min(len(block), t):
+                return False
+        else:
+            work.append((block, palette))
     subsets = sum(math.comb(len(palette), min(len(palette), t - 1)) for _, palette in work)
     if subsets > MAX_COLOR_SUBSETS:
         raise ValueError(f"cycle-rainbow check needs {subsets} color subsets, over the limit of {MAX_COLOR_SUBSETS}")

@@ -5,19 +5,22 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathdeg import build_graph, complete, cycle, fixture, path, subdivide, theta
+from pathdeg import build_graph, colorings, complete, cycle, fixture, path, subdivide, theta
 from pathdeg.colorings import (
     MAX_COLOR_SUBSETS,
     EdgeColoring,
+    _backward_paths,
     acyclic_edge_coloring,
     arboricity_coloring,
     verify_cycle_rainbow,
     verify_proper,
 )
+from pathdeg.generators import fixture_names
 from pathdeg.graph import chain_graph, enumerate_cycles
 from pathdeg.reduction import NotPathDegenerate, is_p_path_degenerate
 
-from conftest import chain_graphs, degenerate_subdivisions, random_graph, star, trees_and_subdivisions
+import coloring_oracle
+from conftest import chain_graphs, degenerate_subdivisions, random_graph, spoked_wheel, star, trees_and_subdivisions
 from cycle_oracle import verify_cycle_rainbow_by_blocks
 
 
@@ -90,8 +93,7 @@ class TestVerifiers:
         # if loops were counted, but a loop is decided by its color count
         g = chain_graph(2, [(0, 0, 20), (0, 0, 20), (1, 1, 20)])
         rainbow = EdgeColoring({e: i for i, e in enumerate(sorted(g.edges))})
-        with pytest.raises(ValueError, match=f"needs {3 * math.comb(20, 9)} color subsets"):
-            verify_cycle_rainbow_by_blocks(g, rainbow, 10)
+        assert 3 * math.comb(20, 9) > MAX_COLOR_SUBSETS
         assert verify_cycle_rainbow(g, rainbow, t=10)
         component = {1, *range(40, 59)}      # vertex 1 and the third link's interior
         for kept, verdict in ((9, False), (10, True)):
@@ -222,11 +224,92 @@ class TestRainbowAgreesWithBlocksOracle:
             for _ in range(6):
                 _agrees_with_blocks_oracle(g, _one_edge_mutation(coloring, rng), t)
 
+    def test_loops_are_not_counted_as_subsets(self):
+        # two 20-edge loop chains at vertex 0 and a 20-edge cycle component,
+        # 60 distinct colors at t = 10: no block needs a color subset
+        g = chain_graph(2, [(0, 0, 20), (0, 0, 20), (1, 1, 20)])
+        rainbow = EdgeColoring({e: i for i, e in enumerate(sorted(g.edges))})
+        assert _agrees_with_blocks_oracle(g, rainbow, 10) is True
+        colors = dict(rainbow.colors)
+        component = {1, *range(40, 59)}      # vertex 1 and the third link's interior
+        for i, e in enumerate(sorted(e for e in g.edges if e[0] in component)):
+            colors[e] = i % 9                 # the cycle component in 9 colors
+        assert _agrees_with_blocks_oracle(g, EdgeColoring(colors), 10) is False
+
     def test_refusal_counts_the_same_subsets(self):
         # K8 with 28 distinct colors at t = 10: C(28, 9) subsets in one block
         g = complete(8)
         coloring = EdgeColoring({e: i + 1 for i, e in enumerate(sorted(g.edges))})
         assert _agrees_with_blocks_oracle(g, coloring, 10) is None
+
+
+def _outcome(build, g, r):
+    """build(g, r).colors, or the type and text of the error it raises."""
+    try:
+        return build(g, r).colors
+    except ValueError as exc:             # NotPathDegenerate included
+        return type(exc), str(exc)
+
+
+def _agrees_with_coloring_oracle(g, rs=range(2, 6)) -> None:
+    for r in rs:
+        for name in ("arboricity_coloring", "acyclic_edge_coloring"):
+            assert _outcome(getattr(colorings, name), g, r) == _outcome(getattr(coloring_oracle, name), g, r)
+
+
+class TestAgreesWithColoringOracle:
+    """Both colorings against the ones they replaced, which kept a set of
+    built vertices, a set of colors per vertex and a palette per ear: the
+    same colors dict, or the same error."""
+
+    def test_the_corpus(self, exhaustive_corpus):
+        for g in exhaustive_corpus:
+            _agrees_with_coloring_oracle(g)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_subdivided_fixtures(self, name):
+        for k in range(7):
+            _agrees_with_coloring_oracle(subdivide(fixture(name), k))
+
+    def test_hubs_above_the_palette(self):
+        # limit = max(degree, r) > r: the hub's colors run past r
+        for spokes in (4, 9, 30):
+            for length in (2, 3, 4, 6):
+                _agrees_with_coloring_oracle(spoked_wheel(spokes, length))
+        for loops in (2, 5, 40):
+            for length in (3, 4, 5, 7):
+                _agrees_with_coloring_oracle(chain_graph(1, [(0, 0, length)] * loops))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chain_graphs(), st.integers(1, 6))
+    def test_chain_graphs(self, g, r):
+        _agrees_with_coloring_oracle(g, [r])
+
+    def test_equal_end_colors_at_limit_r(self):
+        # a theta of three 4-edge chains at r = 3 has degree 3 = r, and one
+        # ear of its certificate gets the same color at both ends, so the
+        # rest of that ear cycles through the r - 1 other colors
+        g = chain_graph(2, [(0, 1, 4)] * 3)
+        coloring = acyclic_edge_coloring(g, 3)
+        ends = [(seq[:2], seq[-2:]) for seq in _backward_paths(g, 4) if len(seq) > 2]
+        assert g.max_degree() == 3
+        assert any(coloring.colors[tuple(sorted(a))] == coloring.colors[tuple(sorted(b))] for a, b in ends)
+        _agrees_with_coloring_oracle(g, [3])
+
+    def test_both_colorings_share_one_backward_build(self, monkeypatch):
+        builds = []
+        certificate = colorings.certificate_or_raise
+
+        def counted(g, p):
+            builds.append(p)
+            return certificate(g, p)
+
+        monkeypatch.setattr(colorings, "certificate_or_raise", counted)
+        g = subdivide(fixture("petersen"), 3)
+        arboricity_coloring(g, 3)
+        acyclic_edge_coloring(g, 3)
+        arboricity_coloring(g, 2)
+        assert builds == [4, 3]
 
 
 class TestArboricityColoring:

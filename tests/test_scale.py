@@ -1,12 +1,14 @@
 """The certificate pipeline, both colorings and their verifiers, and mad
 on a subdivided random cubic graph of about 20k vertices, and girth and
 cycle enumeration on a subdivided dodecahedron of 3020 vertices, and
-the reduction of an 8001-vertex wheel with subdivided spokes.  A
-reduction engine that rescans the graph on every step takes minutes on
-the first, and a cycle-rainbow check that lists cycles runs past any
-cycle cap there; girth with one BFS per vertex takes seconds on the
-second.  On the wheel the rim chain grows by one merge per spoke, the
-engine's quadratic worst case."""
+the reduction of an 8001-vertex wheel with subdivided spokes, and the
+acyclic coloring of a windmill of 8000 loops at one hub.  A reduction
+engine that rescans the graph on every step takes minutes on the first,
+and a cycle-rainbow check that lists cycles runs past any cycle cap
+there; girth with one BFS per vertex takes seconds on the second.  On
+the wheel the rim chain grows by one merge per spoke, the engine's
+quadratic worst case.  A coloring that scans the hub's palette for each
+loop takes about 18 s on the windmill."""
 
 import random
 from fractions import Fraction
@@ -14,7 +16,7 @@ from fractions import Fraction
 from pathdeg import fixture, subdivide
 from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow, verify_proper
 from pathdeg.density import mad
-from pathdeg.graph import enumerate_cycles, girth
+from pathdeg.graph import chain_graph, enumerate_cycles, girth
 from pathdeg.reduction import is_p_path_degenerate, replay_certificate
 from pathdeg.wcol import WcolBoundParams, weak_order, wreach_all, wreach_bound_ok
 
@@ -59,3 +61,14 @@ def test_wheel_with_subdivided_spokes():
     verdict = is_p_path_degenerate(g, 4)
     assert verdict.degenerate
     replay_certificate(g, verdict.certificate)
+
+
+def test_acyclic_coloring_at_a_hub():
+    # every block is a 5-edge loop at vertex 0, so the rainbow check
+    # decides each by its color count and tries no color subset
+    g = chain_graph(1, [(0, 0, 5)] * 8000)
+    assert g.degree(0) == 16_000
+    coloring = acyclic_edge_coloring(g, 3)
+    assert coloring.num_colors == 16_000
+    assert verify_proper(g, coloring)
+    assert verify_cycle_rainbow(g, coloring, t=3)
