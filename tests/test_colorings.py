@@ -49,6 +49,14 @@ class TestVerifiers:
         g = build_graph(4, [(0, 1), (2, 3)])
         assert verify_proper(g, EdgeColoring({(0, 1): 1, (2, 3): 1}))
 
+    def test_proper_with_colors_read_from_files(self):
+        # a coloring file may hold any integers: negative ones, and ones
+        # far too long for a bit mask
+        g = cycle(4)
+        big = 10 ** 1000
+        assert verify_proper(g, EdgeColoring({(0, 1): -1, (1, 2): big, (2, 3): -1, (0, 3): big}))
+        assert not verify_proper(g, EdgeColoring({(0, 1): -1, (1, 2): big, (2, 3): big, (0, 3): -2}))
+
     def test_partial_coloring_rejected(self):
         with pytest.raises(ValueError, match="total"):
             verify_proper(cycle(3), EdgeColoring({(0, 1): 1}))
