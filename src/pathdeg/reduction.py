@@ -5,8 +5,10 @@ strict ear of length at least p.  A graph is p-path degenerate when some
 sequence of steps empties it; since any subgraph of a degenerate graph is
 degenerate, greedy maximal reduction decides the property, and the
 order-insensitive backtracking oracle here exists to keep that assumption
-honest.  Each step records the vertices it deletes, and an independent
-checker replays a certificate step by step.
+honest.  Each step, a tuple, records the vertices it deletes, and an
+independent checker replays a certificate step by step against the
+graph's own adjacency, read through a live flag and a degree count per
+vertex: O(n + m) in all, with no copy of the graph.
 
 The greedy engine takes the smallest applicable step every time: an
 isolated vertex before a leaf, each the smallest such vertex, and an ear
@@ -34,7 +36,8 @@ grows through it, and then the rebuild pushes the grown chain anew.
 
 Cost: O(n + m) to start, then per step O(log n) plus the vertices it
 deletes and the chains it rebuilds: only a leaf's neighbour or an ear's
-two ends stay behind with a lower degree.  A merged chain is walked
+two ends stay behind with a lower degree.  The run stops when the graph
+is empty, without popping the entries left in the heaps.  A merged chain is walked
 whole when it is rebuilt, so a chain that grows one merge at a time (the
 rim of a wheel whose spokes are deleted in turn) keeps the worst case
 quadratic.  The tests hold it to a whole-graph scan, step by step.
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .graph import Graph, chains_through, derived, induced_subgraph, from_edges, peel
 
@@ -75,8 +79,10 @@ class CertificateError(ValueError):
     """A reduction certificate failed to replay."""
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
+    """One step, immutable: a tuple, so that building one costs no
+    per-field assignment (a run builds one per step)."""
+
     kind: str                    # ISOLATED, LEAF or EAR
     vertices: tuple[int, ...]    # one vertex, or the full ear sequence
 
@@ -110,13 +116,6 @@ class DegeneracyVerdict:
 
 def _work_adj(g: Graph) -> dict[int, set[int]]:
     return {v: set(g.adj[v]) for v in range(g.n)}
-
-
-def _delete_vertices(adj: dict[int, set[int]], vs) -> None:
-    for v in vs:
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
 
 
 def _window_key(s: list[int], i: int, j: int) -> tuple[int, ...]:
@@ -188,15 +187,16 @@ def _peel(adj: dict[int, set[int]], p: int):
     heapify(low)
     dirty = {v for v, nb in adj.items() if len(nb) == 2}
     chains: list = []
-    while True:
+    while adj:
         while low and len(adj.get(low[0][1], ())) != low[0][0]:
             heappop(low)
-        # cut: (vertex that stays, the neighbour it loses) for each survivor
         if low:
             degree, v = heappop(low)
             yield ReductionStep(LEAF if degree else ISOLATED, (v,))
             dirty.discard(v)
-            cut = [(u, v) for u in adj.pop(v)]
+            ends = adj.pop(v)            # its one neighbour, if any
+            for u in ends:
+                adj[u].discard(v)
         else:
             ear = _next_ear(adj, chains, dirty, p)
             if ear is None:
@@ -204,9 +204,10 @@ def _peel(adj: dict[int, set[int]], p: int):
             yield ReductionStep(EAR, ear)
             for v in ear[1:-1]:
                 del adj[v]
-            cut = ((ear[0], ear[1]), (ear[-1], ear[-2]))
-        for u, v in cut:
-            adj[u].discard(v)
+            adj[ear[0]].discard(ear[1])
+            adj[ear[-1]].discard(ear[-2])
+            ends = (ear[0], ear[-1])
+        for u in ends:
             degree = len(adj[u])
             if degree < 2:
                 heappush(low, (degree, u))
@@ -320,57 +321,75 @@ def backtrack_degenerate(g: Graph, p: int, budget: int = 500_000) -> bool:
     return False
 
 
-def _step_error(adj: dict[int, set[int]], step: ReductionStep, p: int, exact: bool) -> str | None:
-    """Why `step` does not apply to adj, or None when it does."""
-    vs = step.vertices
-    if step.kind in (ISOLATED, LEAF):
-        if len(vs) != 1:
-            return f"{step.kind} takes exactly one vertex"
-        (v,) = vs
-        if v not in adj:
-            return f"vertex {v} not present"
-        if step.kind == ISOLATED and adj[v]:
-            return f"vertex {v} is not isolated"
-        if step.kind == LEAF and len(adj[v]) != 1:
-            return f"vertex {v} has degree {len(adj[v])}, not 1"
-        return None
-    if step.kind != EAR:
-        return f"unknown step kind {step.kind!r}"
-    length = len(vs) - 1
-    if length < p:
-        return f"ear length {length} < p={p}"
-    if exact and length != p:
-        return f"ear length {length} != p={p}"
-    if vs[0] == vs[-1]:
-        return "ear endpoints coincide"
-    if len(set(vs)) != len(vs):
-        return "repeated vertex on ear"
+def _ear_error(vs, adj, live, degree) -> str | None:
+    """The first of an ear's vertices that is not present, pair that is
+    not adjacent, or interior vertex without degree 2, as replay reports it."""
+    n = len(live)
     for v in vs:
-        if v not in adj:
+        if not (0 <= v < n and live[v]):
             return f"vertex {v} not present"
     for a, b in zip(vs, vs[1:]):
         if b not in adj[a]:
             return f"{a} and {b} not adjacent"
     for v in vs[1:-1]:
-        if len(adj[v]) != 2:
-            return f"interior vertex {v} has degree {len(adj[v])}"
+        if degree[v] != 2:
+            return f"interior vertex {v} has degree {degree[v]}"
     return None
 
 
 def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
     """Independent checker: validate every step against the evolving graph
     and require the final graph to be empty.  Raises CertificateError, or
-    ValueError when cert.p < 2."""
-    if cert.p < 2:
+    ValueError when cert.p < 2.
+
+    The evolving graph is g.adj read through a live flag and a degree
+    count per vertex: a deletion clears the flag and lowers the count of
+    each live neighbour, so a step costs its vertices' degrees in g and
+    nothing is copied.  Ids are range-checked before the flag is read."""
+    p, exact = cert.p, cert.exact_ears
+    if p < 2:
         raise ValueError("p must be >= 2")
-    adj = _work_adj(g)
-    for idx, step in enumerate(cert.steps):
-        error = _step_error(adj, step, cert.p, cert.exact_ears)
+    n, adj = g.n, g.adj
+    degree = [len(nb) for nb in adj]
+    live = bytearray(b"\x01") * n
+    left = n
+    for idx, step in enumerate(cert.steps, 1):
+        kind, vs = step
+        error = None
+        if kind == ISOLATED or kind == LEAF:
+            if len(vs) != 1:
+                error = f"{kind} takes exactly one vertex"
+            elif not (0 <= vs[0] < n and live[vs[0]]):
+                error = f"vertex {vs[0]} not present"
+            elif kind == ISOLATED and degree[vs[0]]:
+                error = f"vertex {vs[0]} is not isolated"
+            elif kind == LEAF and degree[vs[0]] != 1:
+                error = f"vertex {vs[0]} has degree {degree[vs[0]]}, not 1"
+            deleted = vs
+        elif kind == EAR:
+            length = len(vs) - 1
+            if length < p:
+                error = f"ear length {length} < p={p}"
+            elif exact and length != p:
+                error = f"ear length {length} != p={p}"
+            elif vs[0] == vs[-1]:
+                error = "ear endpoints coincide"
+            elif len(set(vs)) != len(vs):
+                error = "repeated vertex on ear"
+            else:
+                error = _ear_error(vs, adj, live, degree)
+            deleted = vs[1:-1]
+        else:
+            error = f"unknown step kind {kind!r}"
         if error:
-            raise CertificateError(f"step {idx + 1} ({step.to_line()}): {error}")
-        _delete_vertices(adj, step.deleted)
-    if adj:
-        raise CertificateError(f"{len(adj)} vertices remain after replaying all steps")
+            raise CertificateError(f"step {idx} ({step.to_line()}): {error}")
+        for v in deleted:
+            live[v] = 0
+            for u in adj[v]:
+                degree[u] -= 1
+        left -= len(deleted)
+    if left:
+        raise CertificateError(f"{left} vertices remain after replaying all steps")
 
 
 def minimal_irreducible_witness_edges(g: Graph, p: int) -> frozenset[tuple[int, int]]:

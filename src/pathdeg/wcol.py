@@ -8,6 +8,10 @@ deleted ear's midpoint before everything known so far and the ear's
 interior after everything, which caps |WReach_x| by
 `bounds.wcol_girth_rule(x, q)` for all x up to r whenever the ear length
 is 2q with q >= r+1.
+
+Weak reach reads radius 1 off one pass over the edges, so x = 0 costs
+O(n) and x = 1 costs O(n + m); a larger radius adds one rank-restricted
+search per source from its higher-ranked neighbours.
 """
 
 from __future__ import annotations
@@ -69,15 +73,29 @@ class WcolBoundParams:
 
 def _weak_reach(g: Graph, pi: LinearOrder, x: int) -> list[dict[int, int]]:
     """reach[v] maps each u in WReach_x(v) to the length of a shortest
-    u-v path whose internal vertices are all above u: one rank-restricted
-    BFS per source u covers all targets v above it."""
+    u-v path whose internal vertices are all above u.  Radius 1 comes from
+    one pass over the edges: the lower-ranked end of each edge is in the
+    other's row at distance 1.  Past it, one rank-restricted BFS per
+    source u, from its neighbours above it, covers all targets v above
+    it; BFS levels do not depend on the order of visits, so the distances
+    are those of a search from u itself."""
     ranks = pi.ranks
-    adj = g.adj
     reach = [{v: 0} for v in range(g.n)]
+    if x < 1:
+        return reach
+    above: list[list[int]] = [[] for _ in range(g.n)]   # neighbours ranked above
+    for a, b in g.edges:
+        if ranks[a] > ranks[b]:
+            a, b = b, a
+        reach[b][a] = 1
+        above[a].append(b)
+    if x < 2:
+        return reach
+    adj = g.adj
     for u in range(g.n):
         ru = ranks[u]
-        frontier = [u]
-        d = 0
+        frontier = above[u]
+        d = 1
         while frontier and d < x:
             d += 1
             nxt = []

@@ -376,6 +376,18 @@ class TestVerifyCommand:
                       "--input", str(cfile), "-p", "9"])
         assert not report.ok
 
+    @pytest.mark.parametrize("text, error", [("L -1\nI 0\n", "step 1 (L -1): vertex -1 not present"),
+                                             ("L 0\nI 2\n", "step 2 (I 2): vertex 2 not present")])
+    def test_certificate_with_ids_out_of_range(self, tmp_path, text, error):
+        # parse_certificate takes any integer id; the replay refuses it
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("0 1\n")
+        cfile = tmp_path / "cert.txt"
+        cfile.write_text(text)
+        report = run(["verify", "certificate", "--graph", str(gfile), "--input", str(cfile), "-p", "2"])
+        assert not report.ok
+        assert report.verification == {"certificate_replays": False, "error": error}
+
     @pytest.mark.parametrize("p", ["1", "0"])
     def test_certificate_refuses_p_below_2(self, tmp_path, p):
         gfile = tmp_path / "g.txt"

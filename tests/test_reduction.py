@@ -1,5 +1,6 @@
 import copy
 import gc
+import random
 import weakref
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pathdeg import build_graph, complete, cycle, fixture, girth, graph, path, reduction, subdivide, theta
 from pathdeg.colorings import acyclic_edge_coloring, arboricity_coloring, verify_cycle_rainbow
 from pathdeg.density import mad
-from pathdeg.formats import parse_graph6
+from pathdeg.formats import parse_certificate, parse_graph6, serialize_certificate
 from pathdeg.graph import core_skeleton, induced_subgraph
 from pathdeg.wcol import WcolBoundParams, weak_order
 from pathdeg.reduction import (
@@ -31,6 +32,7 @@ from pathdeg.reduction import (
 )
 
 import ear_oracle
+from replay_oracle import replay_certificate_by_copy
 from conftest import random_graph, random_graphs, run_capped, trees_and_subdivisions
 
 
@@ -59,6 +61,34 @@ class TestFindStep:
     def test_deterministic_choice(self):
         g = cycle(8)
         assert find_p_reduction(g, 3) == find_p_reduction(g, 3)
+
+
+class TestReductionStep:
+    def test_steps_are_immutable(self):
+        step = ReductionStep(EAR, (0, 1, 2, 3))
+        with pytest.raises(AttributeError):
+            step.kind = LEAF
+        with pytest.raises(AttributeError):
+            step.vertices = (0,)
+        assert step == ReductionStep(EAR, (0, 1, 2, 3)) and hash(step) == hash(ReductionStep(EAR, (0, 1, 2, 3)))
+
+    @pytest.mark.parametrize("step, deleted, line", [
+        (ReductionStep(ISOLATED, (4,)), (4,), "I 4"),
+        (ReductionStep(LEAF, (0,)), (0,), "L 0"),
+        (ReductionStep(EAR, (3, 1, 2, 0)), (1, 2), "E 3 1 2 0"),
+    ])
+    def test_deleted_and_line(self, step, deleted, line):
+        assert step.deleted == deleted and step.to_line() == line
+
+    def test_parse_serialize_round_trip(self):
+        g = subdivide(fixture("petersen"), 2)
+        for exact in (False, True):
+            cert = certificate_or_raise(g, 3, exact_ears=exact)
+            text = serialize_certificate(cert)
+            parsed = parse_certificate(text, p=3, exact_ears=exact)
+            assert parsed == cert and serialize_certificate(parsed) == text
+            assert all(type(step) is ReductionStep for step in parsed.steps)
+            assert text.splitlines() == [step.to_line() for step in cert.steps]
 
 
 class TestGreedyReduce:
@@ -216,6 +246,25 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="takes exactly one vertex"):
             replay_certificate(path(2), ReductionSequence(p=2, steps=(step,)))
 
+    @pytest.mark.parametrize("steps, error", [
+        (((LEAF, (-1,)), (ISOLATED, (0,))), "step 1 (L -1): vertex -1 not present"),
+        (((ISOLATED, (2,)),), "step 1 (I 2): vertex 2 not present"),
+        (((LEAF, (0,)), (ISOLATED, (-1,))), "step 2 (I -1): vertex -1 not present"),
+    ])
+    def test_replay_rejects_ids_out_of_range(self, steps, error):
+        # on path(2), L -1 then I 0 would empty the graph if -1 were read
+        # as vertex n-1 = 1, a leaf
+        cert = ReductionSequence(p=2, steps=tuple(ReductionStep(*step) for step in steps))
+        with pytest.raises(CertificateError) as exc:
+            replay_certificate(path(2), cert)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("ear", [(-1, 0, 1, 2), (0, 1, 2, 5), (3, 0, 1, -5)])
+    def test_replay_rejects_ear_ids_out_of_range(self, ear):
+        cert = ReductionSequence(p=2, steps=(ReductionStep(EAR, ear),))
+        with pytest.raises(CertificateError, match=fr"step 1 \(E [-\d ]+\): vertex -?\d+ not present"):
+            replay_certificate(cycle(5), cert)
+
     @pytest.mark.parametrize("p", [1, 0, -3])
     def test_replay_rejects_p_below_2(self, p):
         # at p = 1 the ear E 0 1 has no interior and would replay as a no-op
@@ -245,6 +294,82 @@ class TestCertificates:
             replay_certificate(g, verdict.certificate)
         else:
             assert find_p_reduction(verdict.witness, p) is None
+
+
+def _replay_error(replay, g, cert):
+    try:
+        replay(g, cert)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+def _mutations(cert, n, rng):
+    """Broken variants of one certificate on an n-vertex graph: the last
+    step dropped, two steps swapped, an ear vertex repeated, an ear one
+    edge short, exact ears required of a plain run, an unknown kind and
+    ids just outside 0..n-1."""
+    steps = list(cert.steps)
+
+    def at(i, step):
+        return ReductionSequence(cert.p, tuple(steps[:i] + [step] + steps[i + 1:]), cert.exact_ears)
+
+    if steps:
+        yield ReductionSequence(cert.p, tuple(steps[:-1]), cert.exact_ears)
+        i = rng.randrange(len(steps))
+        yield at(i, ReductionStep("X", steps[i].vertices))
+        for bad in (-1, n):
+            vs = steps[i].vertices
+            yield at(i, ReductionStep(steps[i].kind, (*vs[:-1], bad)))
+    if len(steps) > 1:
+        i, j = sorted(rng.sample(range(len(steps)), 2))
+        yield ReductionSequence(cert.p, tuple(steps[:i] + [steps[j]] + steps[i + 1:j] + [steps[i]] + steps[j + 1:]),
+                                cert.exact_ears)
+    ears = [i for i, step in enumerate(steps) if step.kind == EAR]
+    if ears:
+        i = rng.choice(ears)
+        vs = steps[i].vertices
+        yield at(i, ReductionStep(EAR, (*vs[:2], *vs[1:])))
+        yield at(i, ReductionStep(EAR, (vs[0], *vs[2:])))
+        yield ReductionSequence(cert.p, cert.steps, True)
+
+
+class TestReplayAgreesWithOracle:
+    """Production replay and the dict-of-sets replay it replaced give the
+    same CertificateError text, or none, on every certificate and on
+    broken variants of it."""
+
+    @staticmethod
+    def assert_agree(g, cert):
+        assert _replay_error(replay_certificate, g, cert) == _replay_error(replay_certificate_by_copy, g, cert), cert
+
+    def check(self, g, p, rng):
+        for exact in (False, True):
+            cert, _ = greedy_reduce(g, p, exact_ears=exact)
+            self.assert_agree(g, cert)
+            for broken in _mutations(cert, g.n, rng):
+                self.assert_agree(g, broken)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_corpus(self, exhaustive_corpus, p):
+        rng = random.Random(p)
+        for g in exhaustive_corpus:
+            self.check(g, p, rng)
+
+    @pytest.mark.parametrize("name", ["dodecahedron", "petersen", "heawood", "tutte-coxeter"])
+    def test_subdivided_fixtures(self, name):
+        rng = random.Random(name)
+        for k in range(5):
+            g = subdivide(fixture(name), k)
+            for p in range(2, 8):
+                for _ in range(3):
+                    self.check(g, p, rng)
+
+    def test_every_mutation_kind_is_refused(self):
+        g = subdivide(fixture("petersen"), 2)
+        cert = certificate_or_raise(g, 3)
+        errors = [_replay_error(replay_certificate, g, broken) for broken in _mutations(cert, g.n, random.Random(1))]
+        assert len(errors) == 8 and all(errors), errors
 
 
 class TestMinimalWitness:

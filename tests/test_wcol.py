@@ -9,8 +9,11 @@ from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
 from pathdeg.bounds import wcol_girth_rule
 from pathdeg.graph import chain_graph
 from pathdeg.reduction import NotPathDegenerate
+
+from conftest import chain_graphs
 from pathdeg.wcol import (
     LinearOrder,
+    _weak_reach,
     WcolBoundParams,
     wcol_exact,
     wcol_under_order,
@@ -47,6 +50,54 @@ class TestWreach:
     def test_bijectivity_enforced(self):
         with pytest.raises(ValueError):
             LinearOrder.from_sequence([0, 0, 1])
+
+
+def weak_reach_by_source(g, pi, x):
+    """`wcol._weak_reach` as it was before radius 1 came from one pass over
+    the edges: one rank-restricted BFS per source u from u itself."""
+    ranks = pi.ranks
+    adj = g.adj
+    reach = [{v: 0} for v in range(g.n)]
+    for u in range(g.n):
+        ru = ranks[u]
+        frontier = [u]
+        d = 0
+        while frontier and d < x:
+            d += 1
+            nxt = []
+            for a in frontier:
+                for b in adj[a]:
+                    if ranks[b] > ru and u not in reach[b]:
+                        reach[b][u] = d
+                        nxt.append(b)
+            frontier = nxt
+    return reach
+
+
+class TestWeakReachAgreesWithOracle:
+    """Every row, vertex -> distance, equals the per-source search's."""
+
+    def test_corpus(self, exhaustive_corpus):
+        rng = random.Random(28)
+        for g in exhaustive_corpus:
+            seq = list(range(g.n))
+            rng.shuffle(seq)
+            pi = LinearOrder.from_sequence(seq)
+            for x in range(5):
+                assert _weak_reach(g, pi, x) == weak_reach_by_source(g, pi, x), (g, seq, x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chain_graphs(), st.randoms(use_true_random=False))
+    def test_chain_graphs(self, g, rnd):
+        seq = list(range(g.n))
+        rnd.shuffle(seq)
+        for pi in (LinearOrder.from_sequence(seq), LinearOrder.from_sequence(range(g.n))):
+            for x in range(5):
+                assert _weak_reach(g, pi, x) == weak_reach_by_source(g, pi, x)
+
+    def test_long_path_under_identity(self):
+        # |WReach_x(v)| = min(x, v) + 1, and no row grows past radius n-1
+        assert wreach_maxima(path(300), LinearOrder.from_sequence(range(300)), 10000) == list(range(1, 301))
 
 
 class TestWcolUnderOrder:
