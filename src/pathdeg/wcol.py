@@ -11,7 +11,7 @@ is 2q with q >= r+1.
 
 Weak reach reads radius 1 off one pass over the edges, so x = 0 costs
 O(n) and x = 1 costs O(n + m); a larger radius adds one rank-restricted
-search per source from its higher-ranked neighbours.
+search per source, started from its higher-ranked neighbours.
 """
 
 from __future__ import annotations
@@ -83,18 +83,19 @@ def _weak_reach(g: Graph, pi: LinearOrder, x: int) -> list[dict[int, int]]:
     reach = [{v: 0} for v in range(g.n)]
     if x < 1:
         return reach
-    above: list[list[int]] = [[] for _ in range(g.n)]   # neighbours ranked above
     for a, b in g.edges:
         if ranks[a] > ranks[b]:
             a, b = b, a
         reach[b][a] = 1
-        above[a].append(b)
     if x < 2:
         return reach
     adj = g.adj
     for u in range(g.n):
         ru = ranks[u]
-        frontier = above[u]
+        frontier = []
+        for b in adj[u]:
+            if ranks[b] > ru:
+                frontier.append(b)
         d = 1
         while frontier and d < x:
             d += 1
