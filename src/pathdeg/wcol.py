@@ -9,9 +9,10 @@ interior after everything, which caps |WReach_x| by
 `bounds.wcol_girth_rule(x, q)` for all x up to r whenever the ear length
 is 2q with q >= r+1.
 
-Weak reach reads radius 1 off one pass over the edges, so x = 0 costs
-O(n) and x = 1 costs O(n + m); a larger radius adds one rank-restricted
-search per source, started from its higher-ranked neighbours.
+Weak reach reads radius 1 off each vertex's own adjacency, in id order,
+so x = 0 costs O(n) and x = 1 costs O(n + m) with no search; a larger
+radius adds one rank-restricted search per source, started from its
+higher-ranked neighbours.
 """
 
 from __future__ import annotations
@@ -74,22 +75,25 @@ class WcolBoundParams:
 def _weak_reach(g: Graph, pi: LinearOrder, x: int) -> list[dict[int, int]]:
     """reach[v] maps each u in WReach_x(v) to the length of a shortest
     u-v path whose internal vertices are all above u.  Radius 1 comes from
-    one pass over the edges: the lower-ranked end of each edge is in the
-    other's row at distance 1.  Past it, one rank-restricted BFS per
-    source u, from its neighbours above it, covers all targets v above
-    it; BFS levels do not depend on the order of visits, so the distances
-    are those of a search from u itself."""
+    one pass over the vertices in id order: v's row takes its neighbours
+    below it at distance 1.  Past it, one rank-restricted BFS per source
+    u, from its neighbours above it, covers all targets v above it; BFS
+    levels do not depend on the order of visits, so the distances are
+    those of a search from u itself."""
     ranks = pi.ranks
-    reach = [{v: 0} for v in range(g.n)]
+    adj = g.adj
     if x < 1:
-        return reach
-    for a, b in g.edges:
-        if ranks[a] > ranks[b]:
-            a, b = b, a
-        reach[b][a] = 1
+        return [{v: 0} for v in range(g.n)]
+    reach = []
+    for v in range(g.n):
+        rv = ranks[v]
+        row = {v: 0}
+        for a in adj[v]:
+            if ranks[a] < rv:
+                row[a] = 1
+        reach.append(row)
     if x < 2:
         return reach
-    adj = g.adj
     for u in range(g.n):
         ru = ranks[u]
         frontier = []
