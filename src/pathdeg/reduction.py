@@ -37,10 +37,11 @@ grows through it, and then the rebuild pushes the grown chain anew.
 Cost: O(n + m) to start, then per step O(log n) plus the vertices it
 deletes and the chains it rebuilds: only a leaf's neighbour or an ear's
 two ends stay behind with a lower degree.  The run stops when the graph
-is empty, without popping the entries left in the heaps.  A merged chain is walked
-whole when it is rebuilt, so a chain that grows one merge at a time (the
-rim of a wheel whose spokes are deleted in turn) keeps the worst case
-quadratic.  The tests hold it to a whole-graph scan, step by step.
+is empty, without popping the entries left in the heaps.  A merged
+chain is walked whole when it is rebuilt, so a chain that grows one
+merge at a time (the rim of a wheel whose spokes are deleted in turn)
+keeps the worst case quadratic.  The tests hold it to a whole-graph
+scan, step by step.
 
 One greedy run serves a whole pipeline on one graph, and the engine has
 one mode: an exact-ear certificate is the run's with each ear v0..vL,

@@ -96,7 +96,7 @@ def _weak_reach(g: Graph, pi: LinearOrder, x: int) -> list[dict[int, int]]:
         return reach
     for u in range(g.n):
         ru = ranks[u]
-        frontier = []
+        frontier = []                    # a comprehension's frame per source costs more
         for b in adj[u]:
             if ranks[b] > ru:
                 frontier.append(b)
@@ -122,8 +122,9 @@ def wreach_all(g: Graph, pi: LinearOrder, x: int) -> list[set[int]]:
 
 def wreach_maxima(g: Graph, pi: LinearOrder, r: int) -> list[int]:
     """max |WReach_x| over all vertices for x = 0..min(r, n-1), as no
-    weak-reach distance exceeds n-1 (0 on the empty graph): one search per
-    source, then one sorted pass over each row.  The one production count."""
+    weak-reach distance exceeds n-1 (0 on the empty graph): the rows of
+    `_weak_reach`, then one sorted pass over each.  The one production
+    count."""
     if r < 0:
         raise ValueError("r must be >= 0")
     best = [0] * (min(r, max(g.n - 1, 0)) + 1)

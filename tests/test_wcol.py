@@ -9,12 +9,10 @@ from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
 from pathdeg.bounds import wcol_girth_rule
 from pathdeg.graph import chain_graph
 from pathdeg.reduction import NotPathDegenerate
-
-from conftest import chain_graphs
 from pathdeg.wcol import (
     LinearOrder,
-    _weak_reach,
     WcolBoundParams,
+    _weak_reach,
     wcol_exact,
     wcol_under_order,
     weak_order,
@@ -23,6 +21,7 @@ from pathdeg.wcol import (
     wreach_maxima,
 )
 
+from conftest import chain_graphs
 
 class TestWreach:
     def test_path_examples(self):
@@ -53,8 +52,8 @@ class TestWreach:
 
 
 def weak_reach_by_source(g, pi, x):
-    """`wcol._weak_reach` as it was before radius 1 came from one pass over
-    the edges: one rank-restricted BFS per source u from u itself."""
+    """`wcol._weak_reach` as it was before radius 1 was read off each
+    vertex's adjacency: one rank-restricted BFS per source u from u itself."""
     ranks = pi.ranks
     adj = g.adj
     reach = [{v: 0} for v in range(g.n)]
