@@ -1,7 +1,8 @@
 """Immutable simple undirected graphs and the structural primitives used
 throughout the package: subdivision, the degree-2 chain walk and
 chains_through, the one chain decomposition built on it (the reduction
-engine, its oracle and core_skeleton all read it), the 2-core peel,
+engine, its oracles and core_skeleton all read it; the engine also has
+it join the chains it walked before), the 2-core peel,
 core_skeleton (every maximal degree-2 chain of the 2-core) and its
 inverse chain_graph, girth, the block decomposition of a multigraph
 (parallel edges and loops included, so it takes core_skeleton's chains
@@ -169,39 +170,63 @@ def chain_graph(n: int, links) -> Graph:
     return build_graph(nxt, edges)
 
 
-def walk_chain(adj, prev: int, cur: int) -> list[int]:
+def walk_chain(adj, prev: int, cur: int, known=None) -> list[int]:
     """Vertices from cur on, moving away from prev through degree-2
     vertices: up to the first vertex of another degree, or back to prev
     when the walk closes a cycle.  adj maps each vertex to its neighbours
-    (a Graph's adj tuple or a dict of sets)."""
+    (a Graph's adj tuple, a list or a dict of sets).  known is as for
+    chains_through: where the walk enters a recorded chain s at s[1] from
+    s[0], or at s[-2] from s[-1], it takes s to its far end at once."""
     start = prev
     out = [cur]
     while cur != start and len(adj[cur]) == 2:
+        if known is not None and (s := known[cur]) is not None:
+            if s[0] == prev and s[1] == cur:
+                out += s[2:]
+                prev, cur = s[-2], s[-1]
+                continue
+            if s[-1] == prev and s[-2] == cur:
+                out += s[-3::-1]
+                prev, cur = s[1], s[0]
+                continue
         x, y = adj[cur]
         prev, cur = cur, (y if x == prev else x)
         out.append(cur)
     return out
 
 
-def chains_through(adj, vertices):
+def chains_through(adj, vertices, known=None):
     """Each maximal degree-2 chain through a degree-2 vertex of `vertices`,
     once, as (s, closed).  closed: s is a cycle component in cyclic order,
     from the first of its vertices met.  Otherwise s runs through the
     chain's interior between two vertices of another degree (one, for a
     loop).  adj is as for walk_chain.  Every strict ear lies inside one
-    of these chains."""
+    of these chains.
+
+    known, when given, is a list indexed by vertex in which each open
+    chain s yielded is recorded under s[1] and s[-2].  A walk that enters
+    a recorded chain at one of those vertices from the end beside it
+    takes the chain whole, so a later call joins the chains that meet at
+    a vertex fallen to degree 2 instead of walking them again.  The
+    caller keeps that exact: it only deletes vertices between calls,
+    calls only when no vertex has degree below 2, and after the first
+    call passes only vertices that had degree above 2 at the call
+    before.  A recorded chain that a walk enters is then still a path of
+    degree-2 vertices, and it does not hold the walk's first vertex."""
     walked: set[int] = set()
     for v in vertices:
         if v in walked or len(adj[v]) != 2:
             continue
         a, b = adj[v]
-        right = walk_chain(adj, v, a)
+        right = walk_chain(adj, v, a, known)
         if right[-1] == v:
             s, closed = [v, *right[:-1]], True
         else:
-            left = walk_chain(adj, v, b)
+            left = walk_chain(adj, v, b, known)
             left.reverse()
             s, closed = [*left, v, *right], False
+            if known is not None:
+                known[s[1]] = known[s[-2]] = s
         walked.update(s)
         yield s, closed
 

@@ -14,16 +14,25 @@ The greedy engine takes the smallest applicable step every time: an
 isolated vertex before a leaf, each the smallest such vertex, and an ear
 only when neither exists, the one with the smallest key (endpoint pair,
 then interior read from the smaller endpoint).  It finds that step by
-peeling, as in Batagelj and Zaversnik's O(m) k-core algorithm (2003):
+peeling, as in Batagelj and Zaversnik's O(m) k-core algorithm (2003),
+on state indexed by vertex id: a copy of each neighbour set, a live flag
+per vertex and a count of the vertices left.
 
-- isolated and degree-1 vertices wait in one min-heap of (degree, vertex);
+- isolated and degree-1 vertices wait in one min-heap of (degree,
+  vertex).  A step's neighbour that falls below degree 2 is held back
+  and compared with the heap's top: when it is smaller it is the next
+  step, and it never enters the heap;
 - each maximal chain of degree-2 vertices (an open chain between branch
   vertices, a loop at one branch vertex, or a cycle component) sits in a
-  second min-heap under the key of its best ear, found in one pass over
-  the chain;
-- a deletion pushes each neighbour that falls to degree 0 or 1 onto the
-  first heap and marks each that falls to degree 2; before an ear is
-  chosen, the chains through the marked vertices are rebuilt and pushed;
+  second min-heap under the key of its best ear.  An open chain of
+  length exactly p is one ear, whose key is read off it; `_chain_best`
+  finds the others' in one pass over the chain.  The chains met before
+  the first ear go into the heap by one heapify;
+- a deletion marks each neighbour that falls to degree 2; before an ear
+  is chosen, the chains through the marked vertices are rebuilt and
+  pushed.  `graph.chains_through` keeps a record of the chains it
+  walked, so a rebuilt chain is joined from the chains that meet at a
+  marked vertex, not walked again;
 - entries are checked when popped: a vertex must still have the degree
   it was pushed with, and a chain entry, pushed with the chain's ends, is
   taken only if its vertex is still there and each end still has degree
@@ -34,14 +43,19 @@ only two ways: an ear consumes it whole (its interior, then what is left
 of the chain, leaf by leaf), or an end falls to degree 2 and the chain
 grows through it, and then the rebuild pushes the grown chain anew.
 
-Cost: O(n + m) to start, then per step O(log n) plus the vertices it
-deletes and the chains it rebuilds: only a leaf's neighbour or an ear's
-two ends stay behind with a lower degree.  The run stops when the graph
-is empty, without popping the entries left in the heaps.  A merged
-chain is walked whole when it is rebuilt, so a chain that grows one
-merge at a time (the rim of a wheel whose spokes are deleted in turn)
-keeps the worst case quadratic.  The tests hold it to a whole-graph
-scan, step by step.
+Cost: O(n + m) to start.  Then an isolated or leaf step costs O(1)
+when its vertex was the next step as it fell below degree 2, and
+O(log n) otherwise; an ear step costs
+O(log n) for its heap entry, its own vertices, and the chains rebuilt
+at its ends: each a copy of the joined vertex lists and one pass for its
+key.  No step allocates anything of size n, and the run stops when the
+graph is empty, without popping the entries left in the heaps.  A
+rebuilt chain is still copied whole, so a chain that grows one merge at
+a time (the rim of a wheel whose spokes are deleted in turn) keeps the
+worst case quadratic, in list copies and minima rather than in steps of
+a walk.  The tests hold the engine to a whole-graph scan, step by step,
+and at scale to the engine it replaced, which copied the graph into a
+dict of sets and walked every rebuilt chain.
 
 One greedy run serves a whole pipeline on one graph, and the engine has
 one mode: an exact-ear certificate is the run's with each ear v0..vL,
@@ -58,7 +72,8 @@ The results are frozen, so sharing them is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heappushpop
+from itertools import compress
 from typing import NamedTuple
 
 from .graph import Graph, chains_through, derived, induced_subgraph, from_edges, peel
@@ -97,6 +112,12 @@ class ReductionStep(NamedTuple):
         return f"{self.kind} {' '.join(str(v) for v in self.vertices)}"
 
 
+# The engine and the exact-ear rewrite build each step as
+# _step(ReductionStep, (kind, vertices)), as NamedTuple's own `_make`
+# does, without its Python-level __new__.
+_step = tuple.__new__
+
+
 @dataclass(frozen=True)
 class ReductionSequence:
     p: int
@@ -113,10 +134,6 @@ class DegeneracyVerdict:
     certificate: ReductionSequence | None = None
     witness: Graph | None = None
     witness_vertices: tuple[int, ...] = field(default=())
-
-
-def _work_adj(g: Graph) -> dict[int, set[int]]:
-    return {v: set(g.adj[v]) for v in range(g.n)}
 
 
 def _window_key(s: list[int], i: int, j: int) -> tuple[int, ...]:
@@ -161,69 +178,96 @@ def _chain_best(s: list[int], closed: bool, p: int) -> tuple[int, ...] | None:
     return min(_window_key(s, 0, j), _window_key(s, i, m))
 
 
-def _next_ear(adj: dict[int, set[int]], chains: list, dirty: set[int], p: int) -> tuple[int, ...] | None:
-    """The smallest applicable ear, once no vertex has degree below 2.
-    Pushes the chains through `dirty` and clears it, then pops `chains`
-    until an entry is current: its vertex s[1], inside the chain, is still
-    there and its ends still branch."""
-    if dirty:
-        for s, closed in chains_through(adj, dirty):
-            key = _chain_best(s, closed, p)
-            if key is not None:
-                heappush(chains, (key, s[1], () if closed else (s[0], s[-1])))
-        dirty.clear()
-    while chains:
-        key, v, ends = heappop(chains)
-        if v in adj and (not ends or len(adj[ends[0]]) > 2 and len(adj[ends[1]]) > 2):
-            return (key[0], *key[2:], key[1])
-    return None
-
-
-def _peel(adj: dict[int, set[int]], p: int):
-    """Yield the greedy steps in order; resuming deletes the last yielded
-    step from adj.  Ends when adj is p-irreducible."""
+def _peel(g: Graph, p: int, live: bytearray):
+    """Yield the greedy steps on g in order, clearing live[v] as each
+    vertex goes; resuming deletes the last yielded step.  Ends when the
+    live vertices induce a p-irreducible graph.  live starts all ones."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    low = [(len(nb), v) for v, nb in adj.items() if len(nb) < 2]
+    adj = list(map(set, g.adj))
+    low = []        # (degree, vertex) for each vertex below degree 2, checked when popped
+    dirty = []      # vertices at degree 2 whose chains are not yet in `chains`
+    for v, nb in enumerate(adj):
+        if len(nb) < 2:
+            low.append((len(nb), v))
+        elif len(nb) == 2:
+            dirty.append(v)
     heapify(low)
-    dirty = {v for v, nb in adj.items() if len(nb) == 2}
     chains: list = []
-    while adj:
-        while low and len(adj.get(low[0][1], ())) != low[0][0]:
-            heappop(low)
-        if low:
+    known = [None] * len(adj)     # chains_through's record of the chains it walked
+    left = len(adj)
+    new = None      # a vertex the last step left below degree 2, not yet in `low`
+    while left:
+        if new:
+            degree, v = heappushpop(low, new)    # `new` itself when below every entry
+            new = None
+        elif low:
             degree, v = heappop(low)
-            yield ReductionStep(LEAF if degree else ISOLATED, (v,))
-            dirty.discard(v)
-            ends = adj.pop(v)            # its one neighbour, if any
-            for u in ends:
-                adj[u].discard(v)
         else:
-            ear = _next_ear(adj, chains, dirty, p)
-            if ear is None:
+            if dirty:
+                entries = []
+                for s, closed in chains_through(adj, dirty, known):
+                    m = len(s) - 1
+                    if m == p and not closed and s[0] != s[m]:    # one ear, the whole chain
+                        key = (s[0], s[m], *s[1:m]) if s[0] < s[m] else (s[m], s[0], *s[m - 1:0:-1])
+                    else:
+                        key = _chain_best(s, closed, p)
+                        if key is None:
+                            continue
+                    entries.append((key, s[1], () if closed else (s[0], s[m])))
+                dirty = []
+                if chains:
+                    for entry in entries:
+                        heappush(chains, entry)
+                else:
+                    chains = entries
+                    heapify(chains)
+            # current: its vertex s[1], inside the chain, is live and its ends still branch
+            while chains:
+                key, v, ends = heappop(chains)
+                if live[v] and (not ends or len(adj[ends[0]]) > 2 and len(adj[ends[1]]) > 2):
+                    break
+            else:
                 return
-            yield ReductionStep(EAR, ear)
+            ear = (key[0], *key[2:], key[1])
+            yield _step(ReductionStep, (EAR, ear))
             for v in ear[1:-1]:
-                del adj[v]
-            adj[ear[0]].discard(ear[1])
-            adj[ear[-1]].discard(ear[-2])
-            ends = (ear[0], ear[-1])
-        for u in ends:
-            degree = len(adj[u])
-            if degree < 2:
-                heappush(low, (degree, u))
-            elif degree == 2:
-                dirty.add(u)
+                live[v] = 0
+            left -= len(ear) - 2
+            for u, w in ((ear[0], ear[1]), (ear[-1], ear[-2])):
+                nb = adj[u]
+                nb.discard(w)
+                if len(nb) < 2:
+                    if new:
+                        heappush(low, new)
+                    new = (len(nb), u)
+                elif len(nb) == 2:
+                    dirty.append(u)
+            continue
+        if len(adj[v]) != degree:
+            continue
+        yield _step(ReductionStep, (LEAF if degree else ISOLATED, (v,)))
+        live[v] = 0
+        left -= 1
+        if degree:
+            (u,) = adj[v]
+            nb = adj[u]
+            nb.discard(v)
+            if len(nb) < 2:
+                new = (len(nb), u)
+            elif len(nb) == 2:
+                dirty.append(u)
 
 
 def _exact_steps(steps, p: int):
     """The steps, each ear v0..vL with L > p as the ear v0..vp and leaf
     steps on vp, ..., v(L-1): alike on open chains, loops and cycles."""
     for step in steps:
-        vs = step.vertices
-        if step.kind == EAR and len(vs) > p + 1:
-            yield ReductionStep(EAR, vs[:p + 1])
-            yield from (ReductionStep(LEAF, (v,)) for v in vs[p:-1])
+        vs = step[1]
+        if len(vs) > p + 1:       # an ear: other steps have one vertex
+            yield _step(ReductionStep, (EAR, vs[:p + 1]))
+            for v in vs[p:-1]:
+                yield _step(ReductionStep, (LEAF, (v,)))
         else:
             yield step
 
@@ -231,7 +275,7 @@ def _exact_steps(steps, p: int):
 def find_p_reduction(g: Graph, p: int, exact_ears: bool = False) -> ReductionStep | None:
     """The first step of the greedy engine, or of its exact-ear rewrite,
     or None iff g is p-irreducible: the module's deterministic rule."""
-    steps = _peel(_work_adj(g), p)
+    steps = _peel(g, p, bytearray(b"\x01") * g.n)
     return next(_exact_steps(steps, p) if exact_ears else steps, None)
 
 
@@ -240,9 +284,9 @@ def _reduce(g: Graph, p: int, exact_ears: bool) -> tuple[ReductionSequence, tupl
     kept in `graph.derived`'s slot under (p, False), and its exact-ear
     rewrite under (p, True): one engine run per graph object and p."""
     def run(g: Graph):
-        adj = _work_adj(g)
-        steps = tuple(_peel(adj, p))
-        return ReductionSequence(p=p, steps=steps), tuple(sorted(adj))
+        live = bytearray(b"\x01") * g.n
+        steps = tuple(_peel(g, p, live))
+        return ReductionSequence(p=p, steps=steps), tuple(compress(range(g.n), live))
 
     cert, survivors = derived(g, (p, False), run)
     if exact_ears:

@@ -5,8 +5,10 @@ each vertex from its neighbours' sets.  The tests hold production to the
 same `CertificateError` text, or none, and use `_step_error` and
 `_delete_vertices` to walk a certificate step by step."""
 
-from pathdeg.reduction import EAR, ISOLATED, LEAF, CertificateError, ReductionSequence, ReductionStep, _work_adj
+from pathdeg.reduction import EAR, ISOLATED, LEAF, CertificateError, ReductionSequence, ReductionStep
 from pathdeg.graph import Graph
+
+from peel_oracle import _work_adj
 
 
 def _delete_vertices(adj: dict[int, set[int]], vs) -> None:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, subdivide
 from pathdeg.graph import chain_graph, induced_subgraph
-from pathdeg.reduction import _work_adj, find_p_reduction, greedy_reduce, is_p_path_degenerate, replay_certificate
+from pathdeg.reduction import find_p_reduction, greedy_reduce, is_p_path_degenerate, replay_certificate
 
 from conftest import spoked_wheel
+from peel_oracle import _work_adj
 from replay_oracle import _delete_vertices, _step_error
 from scan_oracle import _find_step
 

@@ -468,9 +468,9 @@ def engine_runs(monkeypatch):
     runs = []
     peel = reduction._peel
 
-    def counted(adj, p):
+    def counted(g, p, live):
         runs.append(p)
-        return peel(adj, p)
+        return peel(g, p, live)
 
     monkeypatch.setattr(reduction, "_peel", counted)
     return runs
@@ -529,6 +529,18 @@ class TestOneRunPerGraph:
         verdict = is_p_path_degenerate(g, 5)
         assert verdict.witness == g and verdict.witness_vertices == tuple(range(5))
         assert engine_runs == [5]
+
+    def test_witness_check_keeps_the_decided_graph(self, engine_runs):
+        # C5 with a pendant path: its witness at p = 5 is a new graph, the
+        # C5, which the CLI's check and the corpus test for a first step
+        g = build_graph(7, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6)])
+        verdict = is_p_path_degenerate(g, 5)
+        assert not verdict.degenerate and verdict.witness is not g
+        assert find_p_reduction(verdict.witness, 5) is None
+        assert is_p_path_degenerate(g, 5) == verdict
+        with pytest.raises(NotPathDegenerate):
+            certificate_or_raise(g, 5)
+        assert engine_runs == [5, 5]      # g once, the witness once
 
     def test_earlier_graph_is_not_kept_alive(self):
         g = subdivide(fixture("petersen"), 3)
