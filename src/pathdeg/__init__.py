@@ -24,6 +24,7 @@ from .reduction import (
     ReductionStep,
     SearchBudgetExceeded,
     backtrack_degenerate,
+    exact_ear_certificate,
     find_p_reduction,
     greedy_reduce,
     is_p_path_degenerate,
@@ -68,6 +69,7 @@ __all__ = [
     "ReductionStep",
     "SearchBudgetExceeded",
     "backtrack_degenerate",
+    "exact_ear_certificate",
     "find_p_reduction",
     "greedy_reduce",
     "is_p_path_degenerate",

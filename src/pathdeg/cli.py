@@ -31,6 +31,7 @@ from .graph import Graph, girth, subdivide
 from .reduction import (
     CertificateError,
     backtrack_degenerate,
+    exact_ear_certificate,
     find_p_reduction,
     is_p_path_degenerate,
     replay_certificate,
@@ -113,10 +114,10 @@ def _cmd_check(args, g: Graph, report: Report) -> None:
         verdict = backtrack_degenerate(g, args.p)
         report.result = {"p": args.p, "degenerate": verdict, "engine": "backtracking"}
         return
-    verdict = is_p_path_degenerate(g, args.p, exact_ears=args.exact_ears)
+    verdict = is_p_path_degenerate(g, args.p)
     report.result = {"p": args.p, "degenerate": verdict.degenerate, "engine": "greedy"}
     if verdict.degenerate:
-        cert = verdict.certificate
+        cert = exact_ear_certificate(verdict.certificate) if args.exact_ears else verdict.certificate
         report.result["certificate"] = formats.serialize_certificate(cert).splitlines()
         _replay_check(g, cert, report)
     else:

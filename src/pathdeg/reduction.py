@@ -19,15 +19,13 @@ on state indexed by vertex id: a copy of each neighbour set, a live flag
 per vertex and a count of the vertices left.
 
 - isolated and degree-1 vertices wait in one min-heap of (degree,
-  vertex).  A step's neighbour that falls below degree 2 is held back
-  and compared with the heap's top: when it is smaller it is the next
-  step, and it never enters the heap;
+  vertex), and a step's neighbour that falls below degree 2 is pushed
+  there;
 - each maximal chain of degree-2 vertices (an open chain between branch
   vertices, a loop at one branch vertex, or a cycle component) sits in a
   second min-heap under the key of its best ear.  An open chain of
   length exactly p is one ear, whose key is read off it; `_chain_best`
-  finds the others' in one pass over the chain.  The chains met before
-  the first ear go into the heap by one heapify;
+  finds the others' in one pass over the chain;
 - a deletion marks each neighbour that falls to degree 2; before an ear
   is chosen, the chains through the marked vertices are rebuilt and
   pushed.  `graph.chains_through` keeps a record of the chains it
@@ -43,36 +41,37 @@ only two ways: an ear consumes it whole (its interior, then what is left
 of the chain, leaf by leaf), or an end falls to degree 2 and the chain
 grows through it, and then the rebuild pushes the grown chain anew.
 
-Cost: O(n + m) to start.  Then an isolated or leaf step costs O(1)
-when its vertex was the next step as it fell below degree 2, and
-O(log n) otherwise; an ear step costs
-O(log n) for its heap entry, its own vertices, and the chains rebuilt
-at its ends: each a copy of the joined vertex lists and one pass for its
-key.  No step allocates anything of size n, and the run stops when the
-graph is empty, without popping the entries left in the heaps.  A
-rebuilt chain is still copied whole, so a chain that grows one merge at
-a time (the rim of a wheel whose spokes are deleted in turn) keeps the
-worst case quadratic, in list copies and minima rather than in steps of
-a walk.  The tests hold the engine to a whole-graph scan, step by step,
-and at scale to the engine it replaced, which copied the graph into a
-dict of sets and walked every rebuilt chain.
+Cost: O(n + m) to start.  Then an isolated or leaf step costs
+O(log n); an ear step costs O(log n) for its heap entry, its own
+vertices, and the chains rebuilt at its ends: each a copy of the joined
+vertex lists and one pass for its key.  No step allocates anything of
+size n, and the run stops when the graph is empty, without popping the
+entries left in the heaps.  A rebuilt chain is still copied whole, so a
+chain that grows one merge at a time (the rim of a wheel whose spokes
+are deleted in turn) keeps the worst case quadratic, in list copies and
+minima rather than in steps of a walk.  The tests hold the engine to a
+whole-graph scan, step by step, and at scale to the engine it replaced,
+which copied the graph into a dict of sets and walked every rebuilt
+chain.
 
-One greedy run serves a whole pipeline on one graph, and the engine has
-one mode: an exact-ear certificate is the run's with each ear v0..vL,
-L > p, cut to v0..vp and followed by leaf steps on vp, ..., v(L-1),
-which leave the same graph.  `greedy_reduce`, `is_p_path_degenerate`,
-`certificate_or_raise`, and through them both colorings and
-`wcol.weak_order`, share the run's (certificate, survivors) and that
-rewrite, one per p, in `graph.derived`'s slot for the graph object last
-passed, beside that graph's `core_skeleton`.  The match is by identity
-(`is`), never by equality: an equal graph built anew is decided afresh.
-The results are frozen, so sharing them is safe.
+One greedy run serves a whole pipeline on one graph.  `greedy_reduce`,
+`is_p_path_degenerate`, `certificate_or_raise`, and through them both
+colorings and `wcol.weak_order`, share the run's (certificate,
+survivors), one per p, in `graph.derived`'s slot for the graph object
+last passed, beside that graph's `core_skeleton`.  The match is by
+identity (`is`), never by equality: an equal graph built anew is
+decided afresh.  The results are frozen, so sharing them is safe.
+
+An exact-ear certificate, every ear of length exactly p, is a function
+of the run's, not a mode of the engine: `exact_ear_certificate` cuts
+each longer ear v0..vL to v0..vp and follows it by leaf steps on vp,
+..., v(L-1), which leave the same graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, heappushpop
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import NamedTuple
 
@@ -196,16 +195,11 @@ def _peel(g: Graph, p: int, live: bytearray):
     chains: list = []
     known = [None] * len(adj)     # chains_through's record of the chains it walked
     left = len(adj)
-    new = None      # a vertex the last step left below degree 2, not yet in `low`
     while left:
-        if new:
-            degree, v = heappushpop(low, new)    # `new` itself when below every entry
-            new = None
-        elif low:
+        if low:
             degree, v = heappop(low)
         else:
             if dirty:
-                entries = []
                 for s, closed in chains_through(adj, dirty, known):
                     m = len(s) - 1
                     if m == p and not closed and s[0] != s[m]:    # one ear, the whole chain
@@ -214,14 +208,8 @@ def _peel(g: Graph, p: int, live: bytearray):
                         key = _chain_best(s, closed, p)
                         if key is None:
                             continue
-                    entries.append((key, s[1], () if closed else (s[0], s[m])))
+                    heappush(chains, (key, s[1], () if closed else (s[0], s[m])))
                 dirty = []
-                if chains:
-                    for entry in entries:
-                        heappush(chains, entry)
-                else:
-                    chains = entries
-                    heapify(chains)
             # current: its vertex s[1], inside the chain, is live and its ends still branch
             while chains:
                 key, v, ends = heappop(chains)
@@ -238,9 +226,7 @@ def _peel(g: Graph, p: int, live: bytearray):
                 nb = adj[u]
                 nb.discard(w)
                 if len(nb) < 2:
-                    if new:
-                        heappush(low, new)
-                    new = (len(nb), u)
+                    heappush(low, (len(nb), u))
                 elif len(nb) == 2:
                     dirty.append(u)
             continue
@@ -254,7 +240,7 @@ def _peel(g: Graph, p: int, live: bytearray):
             nb = adj[u]
             nb.discard(v)
             if len(nb) < 2:
-                new = (len(nb), u)
+                heappush(low, (len(nb), u))
             elif len(nb) == 2:
                 dirty.append(u)
 
@@ -272,29 +258,32 @@ def _exact_steps(steps, p: int):
             yield step
 
 
-def find_p_reduction(g: Graph, p: int, exact_ears: bool = False) -> ReductionStep | None:
-    """The first step of the greedy engine, or of its exact-ear rewrite,
-    or None iff g is p-irreducible: the module's deterministic rule."""
-    steps = _peel(g, p, bytearray(b"\x01") * g.n)
-    return next(_exact_steps(steps, p) if exact_ears else steps, None)
+def exact_ear_certificate(cert: ReductionSequence) -> ReductionSequence:
+    """cert with each ear v0..vL, L > p, cut to v0..vp and followed by
+    leaf steps on vp, ..., v(L-1): it leaves the same graph, and it
+    replays with every ear of length exactly p."""
+    return ReductionSequence(cert.p, tuple(_exact_steps(cert.steps, cert.p)), True)
 
 
-def _reduce(g: Graph, p: int, exact_ears: bool) -> tuple[ReductionSequence, tuple[int, ...]]:
+def find_p_reduction(g: Graph, p: int) -> ReductionStep | None:
+    """The first step of the greedy engine, or None iff g is
+    p-irreducible: the module's deterministic rule."""
+    return next(_peel(g, p, bytearray(b"\x01") * g.n), None)
+
+
+def _reduce(g: Graph, p: int) -> tuple[ReductionSequence, tuple[int, ...]]:
     """The greedy run: its certificate and the sorted vertices it leaves,
-    kept in `graph.derived`'s slot under (p, False), and its exact-ear
-    rewrite under (p, True): one engine run per graph object and p."""
+    kept in `graph.derived`'s slot under p: one engine run per graph
+    object and p."""
     def run(g: Graph):
         live = bytearray(b"\x01") * g.n
         steps = tuple(_peel(g, p, live))
         return ReductionSequence(p=p, steps=steps), tuple(compress(range(g.n), live))
 
-    cert, survivors = derived(g, (p, False), run)
-    if exact_ears:
-        return derived(g, (p, True), lambda g: (ReductionSequence(p, tuple(_exact_steps(cert.steps, p)), True), survivors))
-    return cert, survivors
+    return derived(g, p, run)
 
 
-def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
+def greedy_reduce(g: Graph, p: int):
     """Apply steps until the graph is p-irreducible.
 
     Returns (prefix, residual): the recorded ReductionSequence and the
@@ -302,24 +291,24 @@ def greedy_reduce(g: Graph, p: int, exact_ears: bool = False):
     original-id order.  The residual is empty exactly when g is p-path
     degenerate.
     """
-    cert, survivors = _reduce(g, p, exact_ears)
+    cert, survivors = _reduce(g, p)
     return cert, induced_subgraph(g, survivors)
 
 
-def certificate_or_raise(g: Graph, p: int, exact_ears: bool = False) -> ReductionSequence:
+def certificate_or_raise(g: Graph, p: int) -> ReductionSequence:
     """The greedy certificate that empties g; raises NotPathDegenerate
     when g is not p-path degenerate."""
-    verdict = is_p_path_degenerate(g, p, exact_ears)
+    verdict = is_p_path_degenerate(g, p)
     if not verdict.degenerate:
         raise NotPathDegenerate(f"graph is not {p}-path degenerate "
                                 f"({len(verdict.witness_vertices)} vertices stay irreducible)")
     return verdict.certificate
 
 
-def is_p_path_degenerate(g: Graph, p: int, exact_ears: bool = False) -> DegeneracyVerdict:
+def is_p_path_degenerate(g: Graph, p: int) -> DegeneracyVerdict:
     """Decide p-path degeneracy with a certificate either way: a replayable
     reduction sequence, or a p-irreducible witness subgraph."""
-    cert, survivors = _reduce(g, p, exact_ears)
+    cert, survivors = _reduce(g, p)
     if not survivors:
         return DegeneracyVerdict(degenerate=True, certificate=cert)
     return DegeneracyVerdict(degenerate=False, witness=induced_subgraph(g, survivors),

@@ -1,5 +1,5 @@
 """Weak reachability, weak coloring numbers, and the linear order built
-from the exact-ear rewrite of the greedy reduction certificate.
+from the greedy reduction certificate.
 
 A vertex u is weakly x-reachable from v under an order when u <= v in the
 order and some u-v path of length at most x keeps all its internal
@@ -164,8 +164,9 @@ def wreach_bound_ok(size: int, x: int, params: WcolBoundParams) -> bool:
 def weak_order(g: Graph, params: WcolBoundParams) -> LinearOrder:
     """Linear order certifying |WReach_x| <= wcol_girth_rule(x, q) for all
     1 <= x <= r.  Requires g to be 2q-path degenerate; it reads the
-    exact-ear rewrite of the greedy run at p = 2q."""
-    cert = certificate_or_raise(g, params.p, exact_ears=True)
+    greedy run at p = 2q as its exact-ear rewrite, each ear v0..vL cut to
+    v0..v2q and followed by leaf steps on v2q, ..., v(L-1)."""
+    cert = certificate_or_raise(g, params.p)
     q = params.q
     # Each ear's midpoint goes before everything placed so far, so the
     # midpoints come out in reverse; everything else goes after.
@@ -173,7 +174,8 @@ def weak_order(g: Graph, params: WcolBoundParams) -> LinearOrder:
     rest: list[int] = []
     for step in reversed(cert.steps):
         if step.kind == EAR:
-            ear = step.vertices           # length 2q: a_0 .. a_2q
+            ear = step.vertices           # a_0 .. a_L, L >= 2q
+            rest.extend(ear[-2:2 * q - 1:-1])   # the rewrite's leaves, last first
             midpoints.append(ear[q])
             rest.extend(ear[1:q])         # interiors from the first endpoint
             rest.extend(ear[2 * q - z] for z in range(1, q))  # from the second

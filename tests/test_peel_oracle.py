@@ -25,7 +25,7 @@ INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def assert_matches_oracle(g, p):
-    cert, survivors = _reduce(g, p, False)
+    cert, survivors = _reduce(g, p)
     assert (cert.steps, survivors) == peel_by_copy(g, p)
 
 

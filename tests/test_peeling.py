@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, subdivide
 from pathdeg.graph import chain_graph, induced_subgraph
-from pathdeg.reduction import find_p_reduction, greedy_reduce, is_p_path_degenerate, replay_certificate
+from pathdeg.reduction import (
+    ReductionSequence,
+    exact_ear_certificate,
+    find_p_reduction,
+    greedy_reduce,
+    is_p_path_degenerate,
+    replay_certificate,
+)
 
 from conftest import spoked_wheel
 from peel_oracle import _work_adj
@@ -33,20 +40,22 @@ def assert_matches_scan(g, p):
 
 def assert_exact_rewrite(g, p):
     """The exact-ear certificate replays with exact_ears=True, leaves the
-    plain run's witness_vertices, and gives the same decision."""
+    plain run's witness_vertices, and starts with the plain run's first
+    step after the rewrite."""
     plain = is_p_path_degenerate(g, p)
-    exact = is_p_path_degenerate(g, p, exact_ears=True)
-    cert, _ = greedy_reduce(g, p, exact_ears=True)
+    cert = exact_ear_certificate(greedy_reduce(g, p)[0])
     assert cert.exact_ears
-    assert find_p_reduction(g, p, exact_ears=True) == (cert.steps[0] if cert.steps else None)
+    first = find_p_reduction(g, p)
+    assert exact_ear_certificate(ReductionSequence(p, (first,) if first else ())).steps[:1] == cert.steps[:1]
     adj = _work_adj(g)
     for step in cert.steps:
         assert _step_error(adj, step, p, True) is None, step
         _delete_vertices(adj, step.deleted)
-    assert tuple(sorted(adj)) == exact.witness_vertices == plain.witness_vertices
-    assert exact.degenerate == plain.degenerate
-    if exact.degenerate:
-        replay_certificate(g, exact.certificate)
+    assert tuple(sorted(adj)) == plain.witness_vertices
+    if plain.degenerate:
+        exact = exact_ear_certificate(plain.certificate)
+        assert exact == cert
+        replay_certificate(g, exact)
 
 
 def assert_greedy(g, p, exact):

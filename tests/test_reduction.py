@@ -23,6 +23,7 @@ from pathdeg.reduction import (
     SearchBudgetExceeded,
     backtrack_degenerate,
     certificate_or_raise,
+    exact_ear_certificate,
     find_p_reduction,
     greedy_reduce,
     is_p_path_degenerate,
@@ -38,7 +39,7 @@ from conftest import random_graph, random_graphs, run_capped, trees_and_subdivis
 
 class TestFindStep:
     def test_c5_exact_p4_is_long_ear(self):
-        step = find_p_reduction(cycle(5), 4, exact_ears=True)
+        step = exact_ear_certificate(ReductionSequence(4, (find_p_reduction(cycle(5), 4),))).steps[0]
         assert step.kind == EAR and len(step.vertices) == 5
         assert len(step.deleted) == 3
 
@@ -83,7 +84,9 @@ class TestReductionStep:
     def test_parse_serialize_round_trip(self):
         g = subdivide(fixture("petersen"), 2)
         for exact in (False, True):
-            cert = certificate_or_raise(g, 3, exact_ears=exact)
+            cert = certificate_or_raise(g, 3)
+            if exact:
+                cert = exact_ear_certificate(cert)
             text = serialize_certificate(cert)
             parsed = parse_certificate(text, p=3, exact_ears=exact)
             assert parsed == cert and serialize_certificate(parsed) == text
@@ -110,7 +113,8 @@ class TestGreedyReduce:
         assert (residual.n == 0) == backtrack_degenerate(g, 2)
 
     def test_exact_ears_certificate_has_exact_lengths(self):
-        seq, residual = greedy_reduce(subdivide(fixture("dodecahedron"), 5), 6, exact_ears=True)
+        plain, residual = greedy_reduce(subdivide(fixture("dodecahedron"), 5), 6)
+        seq = exact_ear_certificate(plain)
         assert residual.n == 0
         ear_lengths = {len(s.vertices) - 1 for s in seq.steps if s.kind == EAR}
         assert ear_lengths == {6}
@@ -289,9 +293,9 @@ class TestCertificates:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(trees_and_subdivisions(max_n=40), st.integers(2, 6), st.booleans())
     def test_certificates_replay_and_witnesses_are_irreducible(self, g, p, exact):
-        verdict = is_p_path_degenerate(g, p, exact_ears=exact)
+        verdict = is_p_path_degenerate(g, p)
         if verdict.degenerate:
-            replay_certificate(g, verdict.certificate)
+            replay_certificate(g, exact_ear_certificate(verdict.certificate) if exact else verdict.certificate)
         else:
             assert find_p_reduction(verdict.witness, p) is None
 
@@ -345,7 +349,9 @@ class TestReplayAgreesWithOracle:
 
     def check(self, g, p, rng):
         for exact in (False, True):
-            cert, _ = greedy_reduce(g, p, exact_ears=exact)
+            cert, _ = greedy_reduce(g, p)
+            if exact:
+                cert = exact_ear_certificate(cert)
             self.assert_agree(g, cert)
             for broken in _mutations(cert, g.n, rng):
                 self.assert_agree(g, broken)
@@ -492,7 +498,7 @@ class TestOneRunPerGraph:
         assert acyclic == acyclic_edge_coloring(_copy(g), 3)
 
     def test_decision_colorings_and_weak_order_share_one_run(self, engine_runs):
-        # p = 2q = r+1 = 4: the weak order reads the exact-ear rewrite
+        # p = 2q = r+1 = 4: the weak order reads the plain run
         g = subdivide(fixture("petersen"), 3)
         params = WcolBoundParams(r=1, q=2)
         assert is_p_path_degenerate(g, params.p).degenerate
@@ -513,14 +519,14 @@ class TestOneRunPerGraph:
     def test_exact_and_non_exact_kept_apart(self, engine_runs):
         g = cycle(7)
         loose = is_p_path_degenerate(g, 3)
-        exact = is_p_path_degenerate(g, 3, exact_ears=True)
-        assert loose.certificate != exact.certificate
+        exact = exact_ear_certificate(loose.certificate)
+        assert loose.certificate != exact
         assert greedy_reduce(g, 3)[0] == loose.certificate
-        assert certificate_or_raise(g, 3, exact_ears=True) == exact.certificate
+        assert exact_ear_certificate(certificate_or_raise(g, 3)) == exact
         # the exact-ear certificate is a rewrite of the one plain run
         assert engine_runs == [3]
         assert loose == is_p_path_degenerate(_copy(g), 3)
-        assert exact == is_p_path_degenerate(_copy(g), 3, exact_ears=True)
+        assert exact == exact_ear_certificate(is_p_path_degenerate(_copy(g), 3).certificate)
 
     def test_failed_decision_is_shared_too(self, engine_runs):
         g = cycle(5)
@@ -562,7 +568,8 @@ class TestOneRunPerGraph:
         def run(op, graph):
             try:
                 if op[0] == "decide":
-                    return is_p_path_degenerate(graph, op[1], exact_ears=op[2])
+                    verdict = is_p_path_degenerate(graph, op[1])
+                    return (verdict, exact_ear_certificate(greedy_reduce(graph, op[1])[0])) if op[2] else verdict
                 if op[0] == "arboricity":
                     return arboricity_coloring(graph, op[1])
                 if op[0] == "acyclic":

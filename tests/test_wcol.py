@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pathdeg import build_graph, complete, cycle, fixture, path, subdivide
 from pathdeg.bounds import wcol_girth_rule
+from pathdeg.generators import fixture_names
 from pathdeg.graph import chain_graph
-from pathdeg.reduction import NotPathDegenerate
+from pathdeg.reduction import EAR, NotPathDegenerate, certificate_or_raise, exact_ear_certificate
 from pathdeg.wcol import (
     LinearOrder,
     WcolBoundParams,
@@ -22,6 +23,7 @@ from pathdeg.wcol import (
 )
 
 from conftest import chain_graphs
+from test_peel_oracle import INPUTS, ladder_graphs
 
 class TestWreach:
     def test_path_examples(self):
@@ -321,9 +323,10 @@ class TestWeakOrder:
         # single ear certificate: C9 with q=4 reduces by one ear then leaves
         g = cycle(9)
         params = WcolBoundParams(r=3, q=4)
-        from pathdeg.reduction import EAR, greedy_reduce
+        from pathdeg.reduction import EAR, exact_ear_certificate, greedy_reduce
 
-        cert, residual = greedy_reduce(g, params.p, exact_ears=True)
+        plain, residual = greedy_reduce(g, params.p)
+        cert = exact_ear_certificate(plain)
         assert residual.n == 0
         (ear_step,) = [s for s in cert.steps if s.kind == EAR]
         ear = ear_step.vertices
@@ -414,3 +417,64 @@ class TestCompositionBound:
             g = cycle(n)
             assert wcol_exact(g, 1) == 3 == wcol_girth_rule(1, params.q)
             _assert_good_order(g, weak_order(g, params), params)
+
+
+def weak_order_from_rewrite(g, params):
+    """The order as built before `weak_order` read the plain run: the same
+    placement, read off the exact-ear rewrite, in which every ear has
+    length exactly 2q."""
+    cert = exact_ear_certificate(certificate_or_raise(g, params.p))
+    q = params.q
+    midpoints, rest = [], []
+    for step in reversed(cert.steps):
+        if step.kind == EAR:
+            ear = step.vertices
+            midpoints.append(ear[q])
+            rest.extend(ear[1:q])
+            rest.extend(ear[2 * q - z] for z in range(1, q))
+        else:
+            rest.extend(step.vertices)
+    midpoints.reverse()
+    return LinearOrder.from_sequence(midpoints + rest)
+
+
+def long_ears_matched(g):
+    """Require weak_order to equal the rewrite's order at q = 2..4 and
+    r = 1..q-1, or both to refuse g; returns how many ears longer than
+    2q the matched orders were built from."""
+    long_ears = 0
+    for q in range(2, 5):
+        for r in range(1, q):
+            params = WcolBoundParams(r=r, q=q)
+            try:
+                expected = weak_order_from_rewrite(g, params)
+            except NotPathDegenerate:
+                with pytest.raises(NotPathDegenerate):
+                    weak_order(g, params)
+                continue
+            assert weak_order(g, params) == expected, (q, r)
+            steps = certificate_or_raise(g, params.p).steps
+            long_ears += sum(len(step.vertices) > params.p + 1 for step in steps)
+    return long_ears
+
+
+class TestWeakOrderMatchesRewrite:
+    """`weak_order` reads the plain greedy run, placing each ear's tail
+    as the leaf steps of its exact-ear rewrite would be placed; the
+    order must be the rewrite's, vertex for vertex."""
+
+    @pytest.mark.skipif(not INPUTS.is_file(), reason="needs perfbench/inputs.py beside the tests")
+    def test_ladder(self):
+        assert sum(long_ears_matched(g) for g in ladder_graphs(5)) > 0
+
+    def test_corpus(self, exhaustive_corpus):
+        for g in exhaustive_corpus:
+            long_ears_matched(g)
+
+    def test_subdivided_fixtures(self):
+        assert sum(long_ears_matched(subdivide(fixture(name), k)) for name in fixture_names() for k in range(9)) > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chain_graphs())
+    def test_chain_graphs(self, g):
+        long_ears_matched(g)
