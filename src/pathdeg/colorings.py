@@ -61,18 +61,21 @@ def _backward_paths(g: Graph, p: int) -> tuple:
     def build(g: Graph) -> tuple:
         built = [False] * g.n
         paths = []
-        for step in reversed(certificate_or_raise(g, p).steps):
-            vs = step.vertices
-            if step.kind == EAR:
+        for kind, vs in reversed(certificate_or_raise(g, p).steps):
+            if kind == EAR:
                 paths.append(vs)
                 for v in vs[1:-1]:
                     built[v] = True
                 continue
             (v,) = vs
-            if step.kind == LEAF:
-                attached = [u for u in g.adj[v] if built[u]]
-                assert len(attached) == 1, "leaf step must attach by exactly one edge"
-                paths.append((attached[0], v))
+            if kind == LEAF:
+                found = 0
+                for u in g.adj[v]:
+                    if built[u]:
+                        found += 1
+                        attached = u
+                assert found == 1, "leaf step must attach by exactly one edge"
+                paths.append((attached, v))
             built[v] = True
         return tuple(paths)
 
@@ -125,12 +128,16 @@ def acyclic_edge_coloring(g: Graph, r: int) -> EdgeColoring:
 
     for seq in paths:
         k = len(seq) - 1                      # 1 for a leaf edge, >= r+1 for an ear
-        alpha = take(seq[0])
-        if k == 1:
+        if k == 1:                            # take(u), inline: most paths are leaf edges
             u, v = seq
-            colors[(u, v) if u < v else (v, u)] = alpha
-            made[v] = (alpha,)
+            c = nxt[u]
+            while c in made[u]:
+                c += 1
+            nxt[u] = c + 1
+            colors[(u, v) if u < v else (v, u)] = c
+            made[v] = (c,)
             continue
+        alpha = take(seq[0])
         beta = take(seq[-1])
         out = [alpha]
         if alpha != beta:

@@ -51,10 +51,10 @@ class Graph:
         return len(self.adj[v])
 
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adj]
+        return list(map(len, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 0 <= u < self.n else False

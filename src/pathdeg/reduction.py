@@ -20,7 +20,9 @@ per vertex and a count of the vertices left.
 
 - isolated and degree-1 vertices wait in one min-heap of (degree,
   vertex), and a step's neighbour that falls below degree 2 is pushed
-  there;
+  there: the vertices of pendant trees, and a loop's branch vertex that
+  falls to degree 1.  What an ear leaves of its own chain never goes
+  there (below);
 - each maximal chain of degree-2 vertices (an open chain between branch
   vertices, a loop at one branch vertex, or a cycle component) sits in a
   second min-heap under the key of its best ear.  An open chain of
@@ -32,24 +34,31 @@ per vertex and a count of the vertices left.
   walked, so a rebuilt chain is joined from the chains that meet at a
   marked vertex, not walked again;
 - entries are checked when popped: a vertex must still have the degree
-  it was pushed with, and a chain entry, pushed with the chain's ends, is
-  taken only if its vertex is still there and each end still has degree
-  >= 3.
+  it was pushed with, and a chain entry, which carries the chain s, is
+  taken only if s[1] is still there and each end still has degree >= 3.
 
 That check is exact because, between two ear choices, a chain changes in
 only two ways: an ear consumes it whole (its interior, then what is left
 of the chain, leaf by leaf), or an end falls to degree 2 and the chain
 grows through it, and then the rebuild pushes the grown chain anew.
+The engine takes the first of these whole.  An ear on an open chain s
+of length m is s[0..L] or s[m-L..m], and the low heap is empty when an
+ear is chosen, so the greedy steps that follow are leaf steps on the
+rest of s in turn, s[L], ..., s[m-1] or s[m-L], ..., s[1]: each frees
+only the next.  The engine yields them off the chain, clearing each live
+flag as it goes, and only then drops a neighbour at each end of s.  A
+cycle component goes as before: its ear's two ends go to the low heap.
 
-Cost: O(n + m) to start.  Then an isolated or leaf step costs
-O(log n); an ear step costs O(log n) for its heap entry, its own
-vertices, and the chains rebuilt at its ends: each a copy of the joined
-vertex lists and one pass for its key.  No step allocates anything of
-size n, and the run stops when the graph is empty, without popping the
-entries left in the heaps.  A rebuilt chain is still copied whole, so a
-chain that grows one merge at a time (the rim of a wheel whose spokes
-are deleted in turn) keeps the worst case quadratic, in list copies and
-minima rather than in steps of a walk.  The tests hold the engine to a
+Cost: O(n + m) to start.  Then a leaf step on the rest of an ear's
+chain costs O(1), with no heap operation; any other isolated or leaf
+step costs O(log n); an ear step costs O(log n) for its heap entry, its
+own vertices, and the chains rebuilt at its chain's ends: each a copy of
+the joined vertex lists and one pass for its key.  No step allocates
+anything of size n, and the run stops when the graph is empty, without
+popping the entries left in the heaps.  A rebuilt chain is still copied
+whole, so a chain that grows one merge at a time (the rim of a wheel
+whose spokes are deleted in turn) keeps the worst case quadratic, in
+list copies and minima rather than in steps of a walk.  The tests hold the engine to a
 whole-graph scan, step by step, and at scale to the engine it replaced,
 which copied the graph into a dict of sets and walked every rebuilt
 chain.
@@ -208,12 +217,12 @@ def _peel(g: Graph, p: int, live: bytearray):
                         key = _chain_best(s, closed, p)
                         if key is None:
                             continue
-                    heappush(chains, (key, s[1], () if closed else (s[0], s[m])))
+                    heappush(chains, (key, s, closed))
                 dirty = []
             # current: its vertex s[1], inside the chain, is live and its ends still branch
             while chains:
-                key, v, ends = heappop(chains)
-                if live[v] and (not ends or len(adj[ends[0]]) > 2 and len(adj[ends[1]]) > 2):
+                key, s, closed = heappop(chains)
+                if live[s[1]] and (closed or len(adj[s[0]]) > 2 and len(adj[s[-1]]) > 2):
                     break
             else:
                 return
@@ -222,7 +231,22 @@ def _peel(g: Graph, p: int, live: bytearray):
             for v in ear[1:-1]:
                 live[v] = 0
             left -= len(ear) - 2
-            for u, w in ((ear[0], ear[1]), (ear[-1], ear[-2])):
+            path = ear      # its two ends lose a neighbour: the ear's, or the chain's
+            if not closed:
+                # The ear is s[0..L] or s[m-L..m], and low is empty, so the
+                # greedy steps that follow are the leaves of the rest of s,
+                # each the one vertex the step before freed.
+                m, L = len(s) - 1, len(ear) - 1
+                if ear[0] == s[0] and ear[1] == s[1] or ear[L] == s[0] and ear[L - 1] == s[1]:
+                    rest = s[L:m]
+                else:
+                    rest = s[m - L:0:-1]
+                for v in rest:
+                    yield _step(ReductionStep, (LEAF, (v,)))
+                    live[v] = 0
+                left -= len(rest)
+                path = s
+            for u, w in ((path[0], path[1]), (path[-1], path[-2])):
                 nb = adj[u]
                 nb.discard(w)
                 if len(nb) < 2:
@@ -384,22 +408,26 @@ def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
     if p < 2:
         raise ValueError("p must be >= 2")
     n, adj = g.n, g.adj
-    degree = [len(nb) for nb in adj]
+    degree = g.degrees()
     live = bytearray(b"\x01") * n
     left = n
     for idx, step in enumerate(cert.steps, 1):
         kind, vs = step
-        error = None
-        if kind == ISOLATED or kind == LEAF:
-            if len(vs) != 1:
-                error = f"{kind} takes exactly one vertex"
-            elif not (0 <= vs[0] < n and live[vs[0]]):
-                error = f"vertex {vs[0]} not present"
-            elif kind == ISOLATED and degree[vs[0]]:
-                error = f"vertex {vs[0]} is not isolated"
-            elif kind == LEAF and degree[vs[0]] != 1:
-                error = f"vertex {vs[0]} has degree {degree[vs[0]]}, not 1"
-            deleted = vs
+        if len(vs) == 1 and (kind == LEAF or kind == ISOLATED):   # most steps: checked first
+            v = vs[0]
+            if not (0 <= v < n and live[v]):
+                error = f"vertex {v} not present"
+            elif degree[v] != (kind == LEAF):     # 1 (True) for a leaf, 0 for an isolated vertex
+                error = (f"vertex {v} has degree {degree[v]}, not 1" if kind == LEAF
+                         else f"vertex {v} is not isolated")
+            else:
+                live[v] = 0
+                for u in adj[v]:
+                    degree[u] -= 1
+                left -= 1
+                continue
+        elif kind == ISOLATED or kind == LEAF:
+            error = f"{kind} takes exactly one vertex"
         elif kind == EAR:
             length = len(vs) - 1
             if length < p:
@@ -412,16 +440,16 @@ def replay_certificate(g: Graph, cert: ReductionSequence) -> None:
                 error = "repeated vertex on ear"
             else:
                 error = _ear_error(vs, adj, live, degree)
-            deleted = vs[1:-1]
+            if not error:
+                for v in vs[1:-1]:
+                    live[v] = 0
+                    for u in adj[v]:
+                        degree[u] -= 1
+                left -= length - 1
+                continue
         else:
             error = f"unknown step kind {kind!r}"
-        if error:
-            raise CertificateError(f"step {idx} ({step.to_line()}): {error}")
-        for v in deleted:
-            live[v] = 0
-            for u in adj[v]:
-                degree[u] -= 1
-        left -= len(deleted)
+        raise CertificateError(f"step {idx} ({step.to_line()}): {error}")
     if left:
         raise CertificateError(f"{left} vertices remain after replaying all steps")
 

@@ -14,6 +14,7 @@ from pathdeg import build_graph, complete, cycle, fixture, subdivide
 from pathdeg.graph import chain_graph, induced_subgraph
 from pathdeg.reduction import (
     ReductionSequence,
+    _peel,
     exact_ear_certificate,
     find_p_reduction,
     greedy_reduce,
@@ -25,6 +26,7 @@ from conftest import spoked_wheel
 from peel_oracle import _work_adj
 from replay_oracle import _delete_vertices, _step_error
 from scan_oracle import _find_step
+from test_peel_oracle import INPUTS, ladder_graphs
 
 
 def assert_matches_scan(g, p):
@@ -99,6 +101,22 @@ def disjoint_union(*graphs):
     return build_graph(n, edges)
 
 
+def remainder_into_branch(p, flip):
+    """K4 on branch vertices y = 1, x, c, d whose edge yx is a chain of
+    p + 3 edges.  The smallest ear runs from y to the chain's vertex 0 at
+    distance p, and leaves three chain vertices that peel, leaf by leaf,
+    into x; x falls to degree 2 and joins its chains to c and d into one.
+    The neighbours of 0 are 2 and 3: 2 on x's side, or with flip on y's,
+    so that the engine, walking the chain from 0 toward 2 first, records
+    x at its end, or with flip at its start, and the rest of the chain
+    runs toward its last vertex, or with flip toward its first."""
+    labels = iter(range(4, p + 6))
+    x, c, d = next(labels), next(labels), next(labels)
+    before, after = (2, 3) if flip else (3, 2)
+    chain = [1, *(next(labels) for _ in range(p - 2)), before, 0, after, next(labels), x]
+    return build_graph(p + 6, [*zip(chain, chain[1:]), (x, c), (x, d), (1, c), (1, d), (c, d)])
+
+
 # Graphs, for a given p, on which a step detaches its survivors in the
 # ways the engine's bookkeeping must follow.
 ATTACHMENTS = {
@@ -112,6 +130,10 @@ ATTACHMENTS = {
     # a cycle of length p+1, or a loop of that length at a branch vertex,
     # goes by one ear of length p whose two ends are adjacent
     "ear-ends-adjacent": lambda p: disjoint_union(cycle(p + 1), chain_graph(1, [(0, 0, p + 1), (0, 0, p + 1)])),
+    # an ear ends inside an open chain, whose rest runs into a degree-3
+    # branch vertex, toward the chain's last vertex or toward its first
+    "rest-toward-last": lambda p: remainder_into_branch(p, False),
+    "rest-toward-first": lambda p: remainder_into_branch(p, True),
 }
 
 
@@ -124,6 +146,37 @@ def test_attachment_cases(name):
         for h in (g, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
             for exact in (False, True):
                 assert_greedy(h, p, exact)
+
+
+def assert_live_contract(g, p):
+    """When _peel yields step k, its live flags are 0 on exactly the
+    vertices that steps 1..k-1 deleted, and at the end on those of every
+    step."""
+    live = bytearray(b"\x01") * g.n
+    expected = bytearray(live)
+    for step in _peel(g, p, live):
+        assert live == expected, step
+        for v in step.deleted:
+            expected[v] = 0
+    assert live == expected
+
+
+@pytest.mark.skipif(not INPUTS.is_file(), reason="needs perfbench/inputs.py beside the tests")
+def test_live_contract_ladder():
+    for g in ladder_graphs(5):
+        assert_live_contract(g, 4)
+
+
+@pytest.mark.parametrize("name", sorted(ATTACHMENTS))
+def test_live_contract_attachments(name):
+    for p in range(2, 7):
+        assert_live_contract(ATTACHMENTS[name](p), p)
+
+
+def test_live_contract_corpus(exhaustive_corpus):
+    for g in exhaustive_corpus[::7]:
+        for p in (2, 3, 4):
+            assert_live_contract(g, p)
 
 
 def test_cycles():
