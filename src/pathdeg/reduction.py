@@ -46,8 +46,9 @@ of length m is s[0..L] or s[m-L..m], and the low heap is empty when an
 ear is chosen, so the greedy steps that follow are leaf steps on the
 rest of s in turn, s[L], ..., s[m-1] or s[m-L], ..., s[1]: each frees
 only the next.  The engine yields them off the chain, clearing each live
-flag as it goes, and only then drops a neighbour at each end of s.  A
-cycle component goes as before: its ear's two ends go to the low heap.
+flag as it goes, and only then drops a neighbour at each end of s.  On
+a cycle component the ear's two ends fall to degree 1 and go to the low
+heap.
 
 Cost: O(n + m) to start.  Then a leaf step on the rest of an ear's
 chain costs O(1), with no heap operation; any other isolated or leaf
@@ -58,10 +59,10 @@ anything of size n, and the run stops when the graph is empty, without
 popping the entries left in the heaps.  A rebuilt chain is still copied
 whole, so a chain that grows one merge at a time (the rim of a wheel
 whose spokes are deleted in turn) keeps the worst case quadratic, in
-list copies and minima rather than in steps of a walk.  The tests hold the engine to a
-whole-graph scan, step by step, and at scale to the engine it replaced,
-which copied the graph into a dict of sets and walked every rebuilt
-chain.
+list copies and minima rather than in steps of a walk.  The tests hold
+the engine to a whole-graph scan, step by step, and at scale to the
+engine it replaced, which copied the graph into a dict of sets and
+walked every rebuilt chain.
 
 One greedy run serves a whole pipeline on one graph.  `greedy_reduce`,
 `is_p_path_degenerate`, `certificate_or_raise`, and through them both
